@@ -1,18 +1,15 @@
-// Package bench provides the measurement machinery used by the
-// evaluation harness: latency histograms with CDF extraction, throughput
-// accounting, and busy-time CPU metering per component role.
+// Package bench provides the measurement primitives the components
+// carry: log-bucketed latency histograms and busy-time CPU metering per
+// component role.
 //
 // The CPU meter reproduces what the paper's CPU panels show (Figures 3
 // and 4): each component loop (worker, scheduler, coordinator, acceptor)
 // accrues the wall time it spends processing, excluding time blocked on
-// channels. The harness reports Σbusy/wall × 100 per role, so "the
-// scheduler is CPU-bound" appears as the scheduler role pinned near 100%.
+// channels. Σbusy/wall per role is the role's CPU share, so "the
+// scheduler is CPU-bound" appears as the scheduler role near one core.
 package bench
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,23 +81,6 @@ func (m *CPUMeter) Snapshot() (busy map[string]time.Duration, since time.Time) {
 		busy[name] = time.Duration(c.Load())
 	}
 	return busy, since
-}
-
-// Usage returns per-role CPU usage as a percentage of one core
-// (100 = one core fully busy, 400 = four cores' worth) plus the total.
-func (m *CPUMeter) Usage() (perRole map[string]float64, total float64) {
-	busy, since := m.Snapshot()
-	wall := time.Since(since).Seconds()
-	if wall <= 0 {
-		wall = math.SmallestNonzeroFloat64
-	}
-	perRole = make(map[string]float64, len(busy))
-	for name, d := range busy {
-		pct := d.Seconds() / wall * 100
-		perRole[name] = pct
-		total += pct
-	}
-	return perRole, total
 }
 
 // RoleMeter accrues busy time for one role.
@@ -228,124 +208,4 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.Max()
-}
-
-// CDFPoint is one point of a cumulative latency distribution.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
-}
-
-// CDF returns the cumulative distribution over the populated buckets.
-func (h *Histogram) CDF() []CDFPoint {
-	n := h.count.Load()
-	if n == 0 {
-		return nil
-	}
-	var (
-		points []CDFPoint
-		seen   int64
-	)
-	for i := 0; i < bucketCount; i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		seen += c
-		points = append(points, CDFPoint{
-			Latency:  bucketValue(i),
-			Fraction: float64(seen) / float64(n),
-		})
-	}
-	return points
-}
-
-// Merge adds the contents of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := 0; i < bucketCount; i++ {
-		if c := other.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		cur := h.maxNs.Load()
-		om := other.maxNs.Load()
-		if om <= cur || h.maxNs.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
-// Result summarises one benchmark run of one technique.
-type Result struct {
-	Technique  string
-	Threads    int
-	Ops        int64
-	Elapsed    time.Duration
-	Latency    *Histogram
-	CPUPercent float64            // total across roles
-	CPUByRole  map[string]float64 // per role
-	Extra      map[string]float64 // experiment-specific values
-	Breakdown  string             // per-stage latency table (tracing on)
-}
-
-// Kcps returns throughput in kilo-commands per second, the paper's unit.
-func (r *Result) Kcps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds() / 1000
-}
-
-// String renders a single result line.
-func (r *Result) String() string {
-	mean := time.Duration(0)
-	p99 := time.Duration(0)
-	if r.Latency != nil {
-		mean = r.Latency.Mean()
-		p99 = r.Latency.Quantile(0.99)
-	}
-	return fmt.Sprintf("%-10s thr=%d  %9.1f Kcps  mean=%8s  p99=%8s  cpu=%6.1f%%",
-		r.Technique, r.Threads, r.Kcps(), mean.Round(time.Microsecond), p99.Round(time.Microsecond), r.CPUPercent)
-}
-
-// Table formats a set of results with a normalised throughput column
-// relative to the named baseline technique (matching the paper's "N X"
-// annotations).
-func Table(results []*Result, baseline string) string {
-	var base float64
-	for _, r := range results {
-		if r.Technique == baseline {
-			base = r.Kcps()
-		}
-	}
-	out := fmt.Sprintf("%-10s %8s %12s %10s %12s %12s %10s\n",
-		"technique", "threads", "Kcps", "vs "+baseline, "mean lat", "p99 lat", "cpu%")
-	for _, r := range results {
-		norm := math.NaN()
-		if base > 0 {
-			norm = r.Kcps() / base
-		}
-		mean, p99 := time.Duration(0), time.Duration(0)
-		if r.Latency != nil {
-			mean = r.Latency.Mean()
-			p99 = r.Latency.Quantile(0.99)
-		}
-		out += fmt.Sprintf("%-10s %8d %12.1f %9.2fX %12s %12s %10.1f\n",
-			r.Technique, r.Threads, r.Kcps(), norm,
-			mean.Round(time.Microsecond), p99.Round(time.Microsecond), r.CPUPercent)
-	}
-	return out
-}
-
-// SortedRoles returns role names ordered for stable printing.
-func SortedRoles(byRole map[string]float64) []string {
-	names := make([]string, 0, len(byRole))
-	for name := range byRole {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +13,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile not zero")
-	}
-	if h.CDF() != nil {
-		t.Fatal("empty CDF not nil")
 	}
 }
 
@@ -67,48 +62,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramCDFMonotonic(t *testing.T) {
-	var h Histogram
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 10000; i++ {
-		h.Record(time.Duration(rng.Intn(50_000_000)))
-	}
-	cdf := h.CDF()
-	if len(cdf) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prevLat, prevFrac := time.Duration(-1), 0.0
-	for _, p := range cdf {
-		if p.Latency <= prevLat {
-			t.Fatalf("CDF latencies not increasing: %v after %v", p.Latency, prevLat)
-		}
-		if p.Fraction < prevFrac {
-			t.Fatalf("CDF fractions not monotone: %v after %v", p.Fraction, prevFrac)
-		}
-		prevLat, prevFrac = p.Latency, p.Fraction
-	}
-	if last := cdf[len(cdf)-1].Fraction; last < 0.999 {
-		t.Fatalf("CDF does not reach 1: %v", last)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Record(time.Millisecond)
-	b.Record(3 * time.Millisecond)
-	b.Record(5 * time.Millisecond)
-	a.Merge(&b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Mean() != 3*time.Millisecond {
-		t.Fatalf("merged mean = %v", a.Mean())
-	}
-	if a.Max() != 5*time.Millisecond {
-		t.Fatalf("merged max = %v", a.Max())
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -151,13 +104,14 @@ func TestCPUMeterBusyFraction(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	role.Add(time.Since(t0))
 	time.Sleep(50 * time.Millisecond)
-	byRole, total := m.Usage()
+	busy, since := m.Snapshot()
 	// ~50ms busy of ~100ms wall ≈ 50%; allow slack.
-	if byRole["worker"] < 25 || byRole["worker"] > 75 {
-		t.Fatalf("worker busy = %.1f%%, want ≈ 50%%", byRole["worker"])
+	share := busy["worker"].Seconds() / time.Since(since).Seconds()
+	if share < 0.25 || share > 0.75 {
+		t.Fatalf("worker busy = %.2f of the window, want ≈ 0.5", share)
 	}
-	if total != byRole["worker"] {
-		t.Fatalf("total %v != worker %v", total, byRole["worker"])
+	if len(busy) != 1 {
+		t.Fatalf("roles = %v, want only worker", busy)
 	}
 }
 
@@ -165,11 +119,14 @@ func TestCPUMeterReset(t *testing.T) {
 	m := NewCPUMeter()
 	role := m.Role("x")
 	role.Add(time.Second)
+	before := time.Now()
 	m.Reset()
-	time.Sleep(10 * time.Millisecond)
-	byRole, _ := m.Usage()
-	if byRole["x"] > 1 {
-		t.Fatalf("busy after reset = %.2f%%", byRole["x"])
+	busy, since := m.Snapshot()
+	if busy["x"] != 0 {
+		t.Fatalf("busy after reset = %v", busy["x"])
+	}
+	if since.Before(before) {
+		t.Fatal("Reset did not restart the observation window")
 	}
 }
 
@@ -179,46 +136,5 @@ func TestNilMeterSafe(t *testing.T) {
 	role.Add(time.Millisecond) // must not panic
 	if busy, _ := m.Snapshot(); busy != nil {
 		t.Fatal("nil meter Snapshot not empty")
-	}
-}
-
-func TestResultKcpsAndString(t *testing.T) {
-	var h Histogram
-	h.Record(time.Millisecond)
-	r := &Result{Technique: "P-SMR", Threads: 8, Ops: 100_000, Elapsed: time.Second, Latency: &h}
-	if got := r.Kcps(); got != 100 {
-		t.Fatalf("Kcps = %v", got)
-	}
-	if s := r.String(); !strings.Contains(s, "P-SMR") {
-		t.Fatalf("String = %q", s)
-	}
-	zero := &Result{}
-	if zero.Kcps() != 0 {
-		t.Fatal("zero result Kcps != 0")
-	}
-}
-
-func TestTableNormalisation(t *testing.T) {
-	mk := func(name string, kcps float64) *Result {
-		return &Result{
-			Technique: name,
-			Threads:   1,
-			Ops:       int64(kcps * 1000),
-			Elapsed:   time.Second,
-		}
-	}
-	table := Table([]*Result{mk("SMR", 100), mk("P-SMR", 315)}, "SMR")
-	if !strings.Contains(table, "3.15X") {
-		t.Fatalf("normalisation missing:\n%s", table)
-	}
-	if !strings.Contains(table, "1.00X") {
-		t.Fatalf("baseline row missing:\n%s", table)
-	}
-}
-
-func TestSortedRoles(t *testing.T) {
-	roles := SortedRoles(map[string]float64{"worker": 1, "acceptor": 2, "scheduler": 3})
-	if len(roles) != 3 || roles[0] != "acceptor" || roles[1] != "scheduler" || roles[2] != "worker" {
-		t.Fatalf("SortedRoles = %v", roles)
 	}
 }

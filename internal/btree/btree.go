@@ -9,7 +9,7 @@
 // concurrently; Insert and Delete can restructure the tree and must be
 // exclusive. P-SMR enforces exactly this through the key-value store's
 // C-Dep (inserts/deletes depend on everything; reads/updates conflict
-// per key); the lockstore baseline enforces it with a lock manager.
+// per key).
 package btree
 
 import (

@@ -362,3 +362,41 @@ func TestMinimumOrderRaised(t *testing.T) {
 	}
 	checkTree(t, tr)
 }
+
+// BenchmarkBTree measures the storage engine alone at the paper's
+// key-value scale (1M preloaded keys, 8-byte values): context for the
+// absolute throughput of the replicated system.
+func BenchmarkBTree(b *testing.B) {
+	preload := func() *Tree {
+		tr := New(DefaultOrder)
+		for i := uint64(0); i < 1_000_000; i++ {
+			tr.Insert(i, []byte("12345678"))
+		}
+		return tr
+	}
+	b.Run("get", func(b *testing.B) {
+		tr := preload()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.Get(12345)
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		tr := preload()
+		value := []byte("87654321")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.Update(54321, value)
+		}
+	})
+	b.Run("insert-delete", func(b *testing.B) {
+		tr := preload()
+		value := []byte("12345678")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := uint64(2_000_000 + i%100_000)
+			tr.Insert(key, value)
+			tr.Delete(key)
+		}
+	})
+}

@@ -472,8 +472,7 @@ func (c *Compiled) Conflicts(cmdA command.ID, inputA []byte, cmdB command.ID, in
 		return true
 	}
 	if c.keySets[cmdA] == nil && c.keySets[cmdB] == nil {
-		// Single-key fast path: no set allocation on the per-command
-		// hot paths (e.g. the lockstore's per-request conflict scan).
+		// Single-key fast path: no set allocation per query.
 		keyA, okA := c.keys[cmdA](inputA)
 		keyB, okB := c.keys[cmdB](inputB)
 		if !okA || !okB {

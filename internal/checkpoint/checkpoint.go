@@ -186,7 +186,7 @@ type Counters struct {
 	MaxBytes  uint64
 	// LastPauseNs / MaxPauseNs / TotalPauseNs measure the quiesce
 	// pause: the time the worker pool stood still while the snapshot
-	// was taken (the cost `psmr-bench -exp checkpoint` sweeps).
+	// was taken.
 	LastPauseNs  uint64
 	MaxPauseNs   uint64
 	TotalPauseNs uint64

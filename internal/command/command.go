@@ -1,6 +1,6 @@
 // Package command defines the service abstraction shared by every
-// replication technique in this repository (P-SMR, sP-SMR, SMR, no-rep,
-// lockstore) plus the wire formats for client requests and responses.
+// replication technique in this repository (P-SMR, sP-SMR, SMR) plus
+// the wire formats for client requests and responses.
 //
 // A replicated service is a deterministic state machine: Execute must
 // depend only on the current state and the command, never on wall-clock

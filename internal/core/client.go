@@ -209,7 +209,6 @@ func (call *Call) Wait() ([]byte, error) {
 			if !ok {
 				return nil, ErrClientClosed
 			}
-			call.c.forget(call.seq)
 			return output, nil
 		case <-timer.C:
 			call.c.cfg.Sender.RotateLeader(call.group)
@@ -227,7 +226,9 @@ func (c *Client) forget(seq uint64) {
 
 // demux routes response frames to pending calls. Only the first
 // response of a call is delivered (all replica responses are identical,
-// paper §III); later duplicates are dropped.
+// paper §III): delivery removes the call from the pending table, so
+// later duplicates miss it and are dropped, and a call collected
+// through Done is released exactly like one collected through Wait.
 func (c *Client) demux() {
 	defer close(c.done)
 	for frame := range c.ep.Recv() {
@@ -236,14 +237,9 @@ func (c *Client) demux() {
 			continue
 		}
 		c.mu.Lock()
-		call, ok := c.pending[resp.Seq]
-		if ok {
-			// Leave the entry until Wait consumes it; extra responses
-			// fall into the full-channel default below.
-			select {
-			case call.respCh <- resp.Output:
-			default:
-			}
+		if call, ok := c.pending[resp.Seq]; ok {
+			delete(c.pending, resp.Seq)
+			call.respCh <- resp.Output // buffered, and this is its only send
 		}
 		c.mu.Unlock()
 	}

@@ -62,7 +62,7 @@ func startDeployment(t *testing.T, workers int, keys int) *testDeployment {
 			CandidateIdx: 0,
 			Candidates:   candAddrs,
 			Acceptors:    accAddrs,
-			Learners:     []transport.Addr{LearnerAddr(0, gid)},
+			Learners:     []transport.Addr{paxos.LearnerAddr(0, gid)},
 			Transport:    net,
 			SkipInterval: skip,
 			SkipSlots:    mergeWeight,
@@ -232,6 +232,40 @@ func TestClientSubmitAfterClose(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// A call collected through Done must leave the pending table like one
+// collected through Wait: a client that pipelines through Done only
+// may not keep every call (and its frame) reachable for its lifetime.
+func TestClientDoneReleasesPendingCalls(t *testing.T) {
+	d := startDeployment(t, 2, 100)
+	c := d.newClient(3)
+
+	const n = 200
+	calls := make([]*Call, n)
+	for i := range calls {
+		call, err := c.Submit(kvstore.CmdRead, kvstore.EncodeKey(uint64(i%100)))
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		calls[i] = call
+	}
+	for i, call := range calls {
+		select {
+		case out, ok := <-call.Done():
+			if !ok || len(out) == 0 || out[0] != kvstore.OK {
+				t.Fatalf("call %d: output %v (open %v)", i, out, ok)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("call %d never completed", i)
+		}
+	}
+	c.mu.Lock()
+	left := len(c.pending)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d of %d calls collected through Done are still pending", left, n)
 	}
 }
 

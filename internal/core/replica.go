@@ -131,24 +131,20 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.DedupWindow <= 0 {
 		cfg.DedupWindow = 512
 	}
-	var snapper command.Snapshotter
-	if cfg.Checkpoint.Enabled() {
-		if len(cfg.Groups) != 1 {
-			return nil, fmt.Errorf("core: checkpointing requires a single group (got %d); multi-group P-SMR checkpoint positions are an open item", len(cfg.Groups))
-		}
-		var ok bool
-		if snapper, ok = cfg.Service.(command.Snapshotter); !ok {
-			return nil, fmt.Errorf("core: checkpointing requires the service to implement command.Snapshotter, got %T", cfg.Service)
-		}
+	if cfg.Checkpoint.Enabled() && len(cfg.Groups) != 1 {
+		return nil, fmt.Errorf("core: checkpointing requires a single group (got %d); multi-group P-SMR checkpoint positions are an open item", len(cfg.Groups))
 	}
-	var boot *checkpoint.Bootstrap
-	if len(cfg.RecoverPeers) > 0 {
-		var err error
-		boot, err = checkpoint.Recover(cfg.Checkpoint, cfg.Transport, cfg.RecoverPeers,
-			cfg.ReplicaID, cfg.FetchTimeout, cfg.Service)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	ckptCfg := checkpoint.ReplicaConfig{
+		Config:       cfg.Checkpoint,
+		ReplicaID:    cfg.ReplicaID,
+		Transport:    cfg.Transport,
+		Service:      cfg.Service,
+		RecoverPeers: cfg.RecoverPeers,
+		FetchTimeout: cfg.FetchTimeout,
+	}
+	boot, err := checkpoint.Prepare(ckptCfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	r := &Replica{
@@ -162,10 +158,9 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	// One learner per group; the serial group's learner serves one
 	// cursor per worker.
 	for _, g := range cfg.Groups {
-		addr := transport.Addr(fmt.Sprintf("r%d/g%d", cfg.ReplicaID, g.ID))
 		l, err := paxos.StartLearner(paxos.LearnerConfig{
 			GroupID:       g.ID,
-			Addr:          addr,
+			Addr:          paxos.LearnerAddr(cfg.ReplicaID, g.ID),
 			Transport:     cfg.Transport,
 			Coordinators:  g.Coordinators,
 			StartInstance: boot.Start(),
@@ -180,20 +175,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		r.learners = append(r.learners, l)
 	}
 	if cfg.Checkpoint.Enabled() {
-		learner := r.learners[0]
-		gid := cfg.Groups[0].ID
-		p, err := checkpoint.Wire(checkpoint.WireConfig{
-			Config:    cfg.Checkpoint,
-			ReplicaID: cfg.ReplicaID,
-			Transport: cfg.Transport,
-			Snapshot:  func() ([]byte, bool) { return snapper.Snapshot(), true },
-			Floor:     learner.SetRetainFloor,
-			Log:       learner,
-			Replay: func(instance uint64, value []byte) {
-				_ = cfg.Transport.Send(LearnerAddr(cfg.ReplicaID, gid), paxos.NewDecisionFrame(gid, instance, value))
-			},
-			Boot: boot,
-		})
+		p, err := checkpoint.Wire(ckptCfg, boot, r.learners[0], nil)
 		if err != nil {
 			r.closeLearners()
 			return nil, fmt.Errorf("core: %w", err)
@@ -229,13 +211,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		go w.run()
 	}
 	return r, nil
-}
-
-// LearnerAddr returns the address decisions must be pushed to for a
-// group of this replica; the cluster wiring adds these to the group's
-// coordinator learner list.
-func LearnerAddr(replicaID int, groupID uint32) transport.Addr {
-	return transport.Addr(fmt.Sprintf("r%d/g%d", replicaID, groupID))
 }
 
 // Close stops the replica: workers drain out and learners shut down.

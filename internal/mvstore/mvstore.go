@@ -365,7 +365,7 @@ func (s *Store[K, V]) CommittedLen() int {
 }
 
 // MapBase is a Base backed by a plain map, the fit for flat-keyed
-// stores (netfs path/fd tables, lockstore owner records).
+// stores (netfs path/fd tables).
 type MapBase[K comparable, V any] map[K]V
 
 func (m MapBase[K, V]) Get(k K) (V, bool) { v, ok := m[k]; return v, ok }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -125,34 +124,4 @@ func ServeMux(r *Registry) *http.ServeMux {
 		io.WriteString(w, "psmr observability endpoints:\n  /metrics\n  /debug/vars\n  /debug/pprof/\n")
 	})
 	return mux
-}
-
-// StageBreakdown renders the per-stage latency table psmr-bench
-// prints: one row per crossed stage boundary with count, p50, p99 and
-// max, followed by the end-to-end row. Empty when nothing folded.
-func (t *Tracer) StageBreakdown() string {
-	if t == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "    %-16s %10s %10s %10s %10s\n", "stage", "count", "p50", "p99", "max")
-	any := false
-	for _, s := range Stages() {
-		h := t.stageHist[s]
-		if h.Count() == 0 {
-			continue
-		}
-		any = true
-		fmt.Fprintf(&b, "    %-16s %10d %10v %10v %10v\n", s.String(), h.Count(),
-			h.Quantile(0.50), h.Quantile(0.99), h.Max())
-	}
-	if h := t.totalHist; h.Count() > 0 {
-		any = true
-		fmt.Fprintf(&b, "    %-16s %10d %10v %10v %10v\n", "total", h.Count(),
-			h.Quantile(0.50), h.Quantile(0.99), h.Max())
-	}
-	if !any {
-		return ""
-	}
-	return b.String()
 }

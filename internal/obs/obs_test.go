@@ -226,20 +226,32 @@ func TestTracerStampPeeksEncodedRequest(t *testing.T) {
 
 func TestTracerConcurrentStamping(t *testing.T) {
 	tr := NewTracer(TracerConfig{Sample: 1, Final: StageExecEnd})
+	// Two live traces that hash to one slot collide, and the later one
+	// is dropped by design (TestTracerCollisionDrops), so each worker
+	// draws its ids from its own eighth of the slot table: no two
+	// workers can meet in a slot, and a worker folds one trace before
+	// it starts the next. Every trace must then fold.
+	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := uint64(0); i < 500; i++ {
-				stampAll(tr, uint64(w+1), i)
+	for w := uint64(0); w < workers; w++ {
+		seqs := make([]uint64, 0, perWorker)
+		for seq := uint64(0); len(seqs) < perWorker; seq++ {
+			if slot := (traceHash(w+1, seq) >> 1) & tr.slotMask; slot%workers == w {
+				seqs = append(seqs, seq)
 			}
-		}(w)
+		}
+		wg.Add(1)
+		go func(client uint64) {
+			defer wg.Done()
+			for _, seq := range seqs {
+				stampAll(tr, client, seq)
+			}
+		}(w + 1)
 	}
 	wg.Wait()
-	_, folded, _, _ := tr.Counts()
-	if folded != 8*500 {
-		t.Fatalf("folded = %d, want %d", folded, 8*500)
+	_, folded, collisions, _ := tr.Counts()
+	if folded != workers*perWorker || collisions != 0 {
+		t.Fatalf("folded = %d with %d collisions, want %d and 0", folded, collisions, workers*perWorker)
 	}
 }
 
@@ -250,7 +262,7 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.StageHistogram(StageSubmit) != nil || tr.TotalHistogram() != nil {
 		t.Fatal("nil tracer histograms not nil")
 	}
-	if tr.SampleRate() != 0 || tr.Recent() != nil || tr.StageBreakdown() != "" {
+	if tr.SampleRate() != 0 || tr.Recent() != nil {
 		t.Fatal("nil tracer accessors not empty")
 	}
 	s, f, c, e := tr.Counts()
@@ -260,18 +272,9 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.Register(NewRegistry()) // no-op
 }
 
-func TestStageBreakdownAndRegister(t *testing.T) {
+func TestTracerRegister(t *testing.T) {
 	tr := NewTracer(TracerConfig{Sample: 1, Final: StageExecEnd})
-	if tr.StageBreakdown() != "" {
-		t.Fatal("breakdown not empty before any fold")
-	}
 	stampAll(tr, 3, 1)
-	table := tr.StageBreakdown()
-	for _, want := range []string{"leader_admit", "exec_end", "total"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("breakdown missing %q:\n%s", want, table)
-		}
-	}
 	r := NewRegistry()
 	tr.Register(r)
 	flat := r.Flatten()

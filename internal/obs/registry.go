@@ -26,14 +26,14 @@
 // the default 1/1024 sampling a non-sampled command pays exactly one
 // request-id peek (two unaligned loads), one multiply-xor hash and one
 // modulo per boundary — low single-digit nanoseconds, no shared-cache
-// traffic, no allocation — which is why sampled tracing is required to
-// stay within 3% of tracing-off throughput (enforced by `make verify`).
+// traffic, no allocation — which is why sampled tracing is the default.
 // A sampled command additionally performs one CAS claim and one atomic
 // store per boundary on a private slot-table line. Folding a completed
 // trace into the per-stage histograms takes a mutex, but folds happen
 // at the sampling rate (~throughput/1024), so contention is noise.
 // Tracing every command (TraceSample=1) is supported for debugging and
-// measured by `make obs-ablation`; it is priced accordingly.
+// priced accordingly: the benchmark measures it against the default as
+// obs.trace_overhead_ratio.
 //
 // # Flight recorder (the black-box argument)
 //
@@ -267,8 +267,8 @@ func (r *Registry) Snapshot() []Sample {
 }
 
 // Flatten renders a snapshot as a flat name→value map (histograms
-// expand to _count/_mean_us/_p50_us/_p99_us/_max_us), the shape the
-// benchmark harness embeds in its JSON Extra maps.
+// expand to _count/_mean_us/_p50_us/_p99_us/_max_us), the shape
+// tests and the benchmark read counters from.
 func (r *Registry) Flatten() map[string]float64 {
 	snap := r.Snapshot()
 	if snap == nil {

@@ -31,8 +31,6 @@ type ExecutorConfig struct {
 	Transport transport.Transport
 	// Scheduler selects the engine speculation is scheduled through.
 	Scheduler sched.SchedulerKind
-	// Tuning carries the engine pipeline knobs.
-	Tuning sched.Tuning
 	// QueueBound sizes the scan engine's hand-off channel.
 	QueueBound int
 	// DedupWindow bounds the per-client confirmed-output cache.
@@ -264,7 +262,6 @@ func StartExecutor(cfg ExecutorConfig) (*Executor, error) {
 		CPU:        cfg.CPU,
 		Trace:      cfg.Trace,
 		Journal:    cfg.Journal,
-		Tuning:     cfg.Tuning,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("optimistic: start engine: %w", err)

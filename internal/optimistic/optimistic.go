@@ -91,8 +91,9 @@
 // speculating and degrades to sP-SMR behavior, never to inconsistency.
 //
 // Hit-rate, rollback-count and rollback-depth counters are exposed via
-// Executor.Counters / Replica.Counters and surfaced by
-// `psmr-bench -exp optimistic` and `make optimistic-ablation`.
+// Executor.Counters / Replica.Counters and the optimistic_* registry
+// metrics; the benchmark reports them as optimistic.hit_ratio and
+// optimistic.rollbacks_per_kcmd (kv_collide_opt).
 package optimistic
 
 import (
@@ -131,8 +132,6 @@ type ReplicaConfig struct {
 	Transport transport.Transport
 	// Scheduler selects the scheduling engine speculation runs through.
 	Scheduler sched.SchedulerKind
-	// Tuning carries the engine pipeline knobs (reader sets, stealing).
-	Tuning sched.Tuning
 	// QueueBound sizes the scan engine's hand-off channel.
 	QueueBound int
 	// DedupWindow bounds the per-client confirmed-output cache.
@@ -194,12 +193,6 @@ type Replica struct {
 	closeOnce sync.Once
 }
 
-// LearnerAddr names the replica's learner endpoint for cluster wiring
-// (same scheme as the other replica kinds).
-func LearnerAddr(replicaID int, groupID uint32) transport.Addr {
-	return transport.Addr(fmt.Sprintf("r%d/g%d", replicaID, groupID))
-}
-
 // StartReplica wires the learner, the executor and the driver. With
 // RecoverPeers set it first bootstraps the service from a live peer's
 // checkpoint (restoring BEFORE any speculation is admitted) and
@@ -213,19 +206,17 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("optimistic: compile C-Dep: %w", err)
 	}
-	if cfg.Checkpoint.Enabled() {
-		if _, ok := cfg.Service.(command.Snapshotter); !ok {
-			return nil, fmt.Errorf("optimistic: checkpointing requires the service to implement command.Snapshotter, got %T", cfg.Service)
-		}
+	ckptCfg := checkpoint.ReplicaConfig{
+		Config:       cfg.Checkpoint,
+		ReplicaID:    cfg.ReplicaID,
+		Transport:    cfg.Transport,
+		Service:      cfg.Service,
+		RecoverPeers: cfg.RecoverPeers,
+		FetchTimeout: cfg.FetchTimeout,
 	}
-	var boot *checkpoint.Bootstrap
-	if len(cfg.RecoverPeers) > 0 {
-		var err error
-		boot, err = checkpoint.Recover(cfg.Checkpoint, cfg.Transport, cfg.RecoverPeers,
-			cfg.ReplicaID, cfg.FetchTimeout, cfg.Service)
-		if err != nil {
-			return nil, fmt.Errorf("optimistic: %w", err)
-		}
+	boot, err := checkpoint.Prepare(ckptCfg)
+	if err != nil {
+		return nil, fmt.Errorf("optimistic: %w", err)
 	}
 	executor, err := StartExecutor(ExecutorConfig{
 		Workers:         workers,
@@ -233,7 +224,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		Compiled:        compiled,
 		Transport:       cfg.Transport,
 		Scheduler:       cfg.Scheduler,
-		Tuning:          cfg.Tuning,
 		QueueBound:      cfg.QueueBound,
 		DedupWindow:     cfg.DedupWindow,
 		MaxSpeculations: cfg.MaxSpeculations,
@@ -248,7 +238,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	learner, err := paxos.StartLearner(paxos.LearnerConfig{
 		GroupID:       cfg.Group.ID,
-		Addr:          LearnerAddr(cfg.ReplicaID, cfg.Group.ID),
+		Addr:          paxos.LearnerAddr(cfg.ReplicaID, cfg.Group.ID),
 		Transport:     cfg.Transport,
 		Coordinators:  cfg.Group.Coordinators,
 		Optimistic:    true,
@@ -270,19 +260,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		done:         make(chan struct{}),
 	}
 	if cfg.Checkpoint.Enabled() {
-		gid := cfg.Group.ID
-		p, err := checkpoint.Wire(checkpoint.WireConfig{
-			Config:    cfg.Checkpoint,
-			ReplicaID: cfg.ReplicaID,
-			Transport: cfg.Transport,
-			Snapshot:  executor.ConfirmedSnapshot,
-			Floor:     learner.SetRetainFloor,
-			Log:       learner,
-			Replay: func(instance uint64, value []byte) {
-				_ = cfg.Transport.Send(LearnerAddr(cfg.ReplicaID, gid), paxos.NewDecisionFrame(gid, instance, value))
-			},
-			Boot: boot,
-		})
+		p, err := checkpoint.Wire(ckptCfg, boot, learner, executor.ConfirmedSnapshot)
 		if err != nil {
 			_ = learner.Close()
 			_ = executor.Close()

@@ -103,6 +103,13 @@ type optID struct {
 	seq    uint64
 }
 
+// LearnerAddr names the learner endpoint of one replica for one group:
+// the address the group's decisions are pushed to, shared by the
+// cluster wiring and every replica kind.
+func LearnerAddr(replicaID int, groupID uint32) transport.Addr {
+	return transport.Addr(fmt.Sprintf("r%d/g%d", replicaID, groupID))
+}
+
 // StartLearner launches a learner; it runs until Close.
 func StartLearner(cfg LearnerConfig) (*Learner, error) {
 	if cfg.GapTimeout <= 0 {
@@ -394,6 +401,15 @@ func (l *Learner) SetRetainFloor(inst uint64) {
 		l.floor = inst
 	}
 	l.trimLocked()
+}
+
+// Replay injects one decided value fetched from a peer into the
+// learner's own endpoint as an ordinary decision frame (replica
+// recovery): it takes the normal delivery path, so values beyond the
+// live frontier are deduplicated and holes heal via gap retransmission.
+func (l *Learner) Replay(instance uint64, value []byte) {
+	// A frame lost here is a hole like any other.
+	_ = l.cfg.Transport.Send(l.cfg.Addr, NewDecisionFrame(l.cfg.GroupID, instance, value))
 }
 
 // Base returns the oldest retained instance (tests, diagnostics).

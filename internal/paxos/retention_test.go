@@ -181,3 +181,9 @@ func TestStartInstanceSkipsPrefix(t *testing.T) {
 		t.Fatalf("first delivery = %v @%d ok=%v, want v00050 @50", b, inst, ok)
 	}
 }
+
+func TestLearnerAddrFormat(t *testing.T) {
+	if got := LearnerAddr(2, 5); got != "r2/g5" {
+		t.Fatalf("LearnerAddr = %q", got)
+	}
+}

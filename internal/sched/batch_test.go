@@ -13,7 +13,7 @@ import (
 
 // startEngine launches either engine over a fresh in-process network.
 func startEngine(t *testing.T, kind SchedulerKind, workers int, svc command.Service,
-	tuning Tuning, opts ...cdep.Option) (Engine, *transport.MemNetwork) {
+	opts ...cdep.Option) (Engine, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewMemNetwork(1)
 	compiled, err := cdep.Compile(spec(), workers, opts...)
@@ -26,7 +26,6 @@ func startEngine(t *testing.T, kind SchedulerKind, workers int, svc command.Serv
 		Service:   svc,
 		Compiled:  compiled,
 		Transport: net,
-		Tuning:    tuning,
 	})
 	if err != nil {
 		t.Fatalf("StartEngine(%v): %v", kind, err)
@@ -42,7 +41,7 @@ func TestSubmitBatchOrderAndBarrier(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			compiled, _ := cdep.Compile(spec(), 4)
 			svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled}
-			e, _ := startEngine(t, kind, 4, svc, Tuning{})
+			e, _ := startEngine(t, kind, 4, svc)
 
 			// One batch: same-key writes, a mid-batch barrier, more
 			// writes and pings. Key 7 writes must keep batch order;
@@ -99,7 +98,7 @@ func TestSubmitBatchOrderAndBarrier(t *testing.T) {
 func TestIndexReaderSetsRunConcurrently(t *testing.T) {
 	compiled, _ := cdep.Compile(spec(), 8)
 	svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled, slow: 5 * time.Millisecond}
-	e, _ := startEngine(t, KindIndex, 8, svc, Tuning{})
+	e, _ := startEngine(t, KindIndex, 8, svc)
 
 	start := time.Now()
 	for i := uint64(1); i <= 8; i++ {
@@ -130,34 +129,15 @@ func TestIndexReaderSetsRunConcurrently(t *testing.T) {
 	}
 }
 
-// The NoReaderSets ablation must serialize same-key reads on one FIFO
-// (the pre-reader-set behavior).
-func TestIndexNoReaderSetsSerializesReads(t *testing.T) {
-	compiled, _ := cdep.Compile(spec(), 8)
-	svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled, slow: 5 * time.Millisecond}
-	e, _ := startEngine(t, KindIndex, 8, svc, Tuning{NoReaderSets: true})
-
-	start := time.Now()
-	for i := uint64(1); i <= 8; i++ {
-		e.Submit(&command.Request{Client: i, Seq: 1, Cmd: cmdRead, Input: input(5, i)})
-	}
-	waitExecuted(t, svc, 8)
-	// Serialized on one FIFO, the 8 sleeps cannot finish faster than
-	// ~8 x 5ms; waitExecuted returns at the START of the last one.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("NoReaderSets reads ran concurrently: %v", elapsed)
-	}
-}
-
 // Work stealing: free commands confined to one worker's queue by a
 // restricted worker set must be picked up by the idle workers.
 func TestIndexWorkStealing(t *testing.T) {
 	compiled, _ := cdep.Compile(spec(), 4, cdep.WithWorkerSet(cmdPing, 0))
 	svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled, slow: 5 * time.Millisecond}
-	e, _ := startEngine(t, KindIndex, 4, svc, Tuning{StealBatch: 2}, cdep.WithWorkerSet(cmdPing, 0))
+	e, _ := startEngine(t, KindIndex, 4, svc, cdep.WithWorkerSet(cmdPing, 0))
 
 	start := time.Now()
-	const n = 16
+	const n = 32
 	var reqs []*command.Request
 	for i := uint64(1); i <= n; i++ {
 		reqs = append(reqs, &command.Request{Client: 1, Seq: i, Cmd: cmdPing, Input: input(1000+i, i)})
@@ -166,11 +146,14 @@ func TestIndexWorkStealing(t *testing.T) {
 		t.Fatal("SubmitBatch failed")
 	}
 	waitExecuted(t, svc, n)
-	// 16 x 5ms on the single routed worker would be 80ms; stealing
-	// spreads the backlog over 4 workers (sleeps park, 1 CPU is
-	// enough).
-	if elapsed := time.Since(start); elapsed > 70*time.Millisecond {
+	// 32 x 5ms on the single routed worker would be 160ms; stealing
+	// spreads the backlog over 4 workers, stealBatch commands at a
+	// time (sleeps park, 1 CPU is enough).
+	if elapsed := time.Since(start); elapsed > 120*time.Millisecond {
 		t.Fatalf("idle workers did not steal: %v", elapsed)
+	}
+	if stolen, _ := EngineStats(e); stolen == 0 {
+		t.Fatal("no command was counted as stolen")
 	}
 	if svc.violation.Load() {
 		t.Fatal("conflict violation")
@@ -183,7 +166,7 @@ func TestIndexWorkStealing(t *testing.T) {
 func TestIndexStealRespectsBarrier(t *testing.T) {
 	compiled, _ := cdep.Compile(spec(), 4, cdep.WithWorkerSet(cmdPing, 0))
 	svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled, slow: time.Millisecond}
-	e, _ := startEngine(t, KindIndex, 4, svc, Tuning{StealBatch: 4}, cdep.WithWorkerSet(cmdPing, 0))
+	e, _ := startEngine(t, KindIndex, 4, svc, cdep.WithWorkerSet(cmdPing, 0))
 
 	var reqs []*command.Request
 	for i := uint64(1); i <= 10; i++ {
@@ -226,7 +209,7 @@ func TestBarrierUnderConcurrentKeyedLoad(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			compiled, _ := cdep.Compile(spec(), 8)
 			svc := &traceService{inFlight: make(map[uint64]command.ID), conflicts: compiled}
-			e, _ := startEngine(t, kind, 8, svc, Tuning{})
+			e, _ := startEngine(t, kind, 8, svc)
 
 			const n = 8000
 			var reqs []*command.Request

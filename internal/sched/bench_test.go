@@ -126,9 +126,16 @@ func BenchmarkEngineKeyedIndexBatch(b *testing.B) { benchEngineBatch(b, KindInde
 // instead of accumulating, and the allocation meter reports the
 // steady-state cost per command (asserted zero for the batched index
 // path by TestAdmitKeyedIndexBatchZeroAlloc) rather than warm-up
-// growth. The drain spin is timed: at steady state admission and drain
-// overlap on the worker pool, keeping per-op time comparable with the
-// end-to-end engine benchmarks above.
+// growth. Each burst is drained by counting executions, which is timed
+// (at steady state admission and drain overlap on the worker pool,
+// keeping per-op time comparable with the end-to-end engine benchmarks
+// above), and then by a quiesce marker with the timer and the
+// allocation meter stopped: the marker is the harness's, not the
+// admission path's. Counting executions alone is not enough: the
+// engines read Client and Seq once more after Execute returns, for the
+// at-most-once record, and a request rewritten under them is recorded
+// under its NEXT id — the next burst then drops it as a duplicate and
+// the drain never ends.
 func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 	b.Helper()
 	const burstLen = 64
@@ -153,8 +160,8 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 	defer e.Close()
 
 	// Requests are pre-built and mutated in place between fully-drained
-	// bursts: the engines hold them only until execution, which the
-	// drain spin waits out. The scan engine takes ownership of each
+	// bursts: the engines hold them until completion, which the quiesce
+	// marker waits out. The scan engine takes ownership of each
 	// SubmitBatch slice, so it gets a fresh header per burst; the index
 	// engine does not retain the slice.
 	reqs := make([]*command.Request, burstLen)
@@ -162,6 +169,8 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 		reqs[j] = &command.Request{Cmd: cmdWrite, Input: make([]byte, 16)}
 	}
 	var done, seq int64
+	quiesced := make(chan struct{}, 1)
+	mark := func() { quiesced <- struct{}{} }
 	burst := func() {
 		for j := range reqs {
 			seq++
@@ -186,10 +195,18 @@ func benchAdmitKeyed(b *testing.B, kind SchedulerKind, workers, batch int) {
 				b.Fatal("SubmitBatch failed")
 			}
 		}
+		// Executed first (the scan engine orders a marker only after
+		// what its scheduler has already taken in), then completed.
 		done += burstLen
 		for svc.n.Load() < done {
 			runtime.Gosched()
 		}
+		b.StopTimer()
+		if !e.SubmitMarker(mark) {
+			b.Fatal("SubmitMarker failed")
+		}
+		<-quiesced
+		b.StartTimer()
 	}
 	// Warm-up: grow the pools, the rings and the dedup tables to their
 	// steady-state footprint before the meter starts.
@@ -224,10 +241,10 @@ func (s *sleepService) Execute(command.ID, []byte) []byte {
 }
 
 // benchHotKeyRead hammers one key with read-only commands from
-// distinct clients. The scan engine and the index engine with reader
-// sets run them concurrently (ns/op ~ sleep/workers); the index engine
-// without reader sets serializes them on one FIFO (ns/op ~ sleep).
-func benchHotKeyRead(b *testing.B, kind SchedulerKind, workers int, tuning Tuning) {
+// distinct clients. Both engines run them concurrently (ns/op ~
+// sleep/workers): the scan engine through its live-set tracking, the
+// index engine through the key's reader set.
+func benchHotKeyRead(b *testing.B, kind SchedulerKind, workers int) {
 	b.Helper()
 	net := transport.NewMemNetwork(1)
 	defer net.Close()
@@ -242,7 +259,6 @@ func benchHotKeyRead(b *testing.B, kind SchedulerKind, workers int, tuning Tunin
 		Service:   svc,
 		Compiled:  compiled,
 		Transport: net,
-		Tuning:    tuning,
 	})
 	if err != nil {
 		b.Fatalf("StartEngine: %v", err)
@@ -264,11 +280,8 @@ func benchHotKeyRead(b *testing.B, kind SchedulerKind, workers int, tuning Tunin
 	b.StopTimer()
 }
 
-func BenchmarkHotKeyReadScan(b *testing.B)  { benchHotKeyRead(b, KindScan, 8, Tuning{}) }
-func BenchmarkHotKeyReadIndex(b *testing.B) { benchHotKeyRead(b, KindIndex, 8, Tuning{}) }
-func BenchmarkHotKeyReadIndexNoRS(b *testing.B) {
-	benchHotKeyRead(b, KindIndex, 8, Tuning{NoReaderSets: true})
-}
+func BenchmarkHotKeyReadScan(b *testing.B)  { benchHotKeyRead(b, KindScan, 8) }
+func BenchmarkHotKeyReadIndex(b *testing.B) { benchHotKeyRead(b, KindIndex, 8) }
 
 // barrierXferSpec is the multi-key ablation baseline: the same command
 // set, but the transfer declared always-conflicting, so it compiles to

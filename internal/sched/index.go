@@ -36,6 +36,7 @@ import (
 //     key shard is locked once per burst and every target worker's
 //     ingress deque is pushed once per burst, instead of once per
 //     command.
+//
 //   - Same-key write chains land on one worker's FIFO while any of
 //     them is live, so they execute in admission order. Same-key
 //     READ-ONLY commands (cdep.Route.ReadOnly) instead join a per-key
@@ -45,25 +46,29 @@ import (
 //     since the previous writer to drain — the same reader concurrency
 //     the scan engine's live-set tracking provides, without a
 //     scheduler thread.
+//
 //   - Keys with no live commands are (re)assigned to the least-loaded
 //     worker (ties break to the lowest worker id), which is what
 //     balances skewed workloads.
+//
 //   - An idle worker steals a bounded batch of non-keyed work from the
 //     longest ingress queue. Keyed chains never migrate (the per-key
 //     FIFO is the conflict order) and nothing is taken at or past a
 //     pending barrier or multi-key token, so stealing cannot reorder
 //     dependent commands.
+//
 //   - Global (barrier) commands are enqueued on every worker's queue;
 //     workers rendezvous at the token, the compiled set's minimum
 //     member executes alone, then releases the rest — exactly the
 //     paper's "wait for the worker threads to finish their ongoing
 //     work" semantics.
+//
 //   - MULTI-KEY commands (cdep.RouteMultiKey) acquire every touched
 //     key like a 2PL lock point over the per-key FIFOs: admission
 //     places the command as the new last writer of every key (in
 //     sorted-key order) and enqueues ONE token on every distinct owner
-//     queue. The default protocol is a deposit-and-continue handoff:
-//     the token carries an atomic countdown initialized to the number
+//     queue. The protocol is a deposit-and-continue handoff: the
+//     token carries an atomic countdown initialized to the number
 //     of distinct owners, and an owner popping the token DEPOSITS
 //     (decrements) and keeps draining the unrelated work queued behind
 //     it — no owner parks. The LAST depositor becomes the executor: it
@@ -81,18 +86,15 @@ import (
 //     waits latched at admission. Every LATER same-key command — the
 //     next writer, readers, successor tokens — latches this token's
 //     completion gate at admission and cannot start before it closes.
-//     The last deposit is therefore exactly the 2PL lock point the
-//     parking rendezvous implemented, and the serialization order is
-//     identical: same command set, same per-key order, one execution.
+//     The last deposit is therefore a 2PL lock point: every key's
+//     order is its admission order and the command executes once (the
+//     root determinism e2e checks the outcome against the scan engine).
 //     (b) No deadlock: tokens are fully enqueued under the serialized
 //     admission path before admission continues, so they appear on all
 //     queues in ONE global admission order, and every wait edge (FIFO
 //     predecessor, writer gate, sealed reader group, predecessor token
 //     gate) points to an earlier-admitted command — the wait graph is
-//     acyclic. (c) The parking rendezvous is retained behind
-//     Tuning.NoMKHandoff as the ablation baseline; the two modes are
-//     byte-identical on any input stream (asserted by the root
-//     determinism e2e).
+//     acyclic.
 //
 // The admission and completion hot paths are allocation-free at steady
 // state (asserted by TestAdmitKeyedIndexBatchZeroAlloc): inodes,
@@ -119,8 +121,7 @@ type IndexScheduler struct {
 	keyIdx  []keyShard
 	clients []clientShard
 
-	stealBatch int
-	stealSig   chan struct{}
+	stealSig chan struct{}
 	// stolen counts commands migrated between ingress queues by work
 	// stealing since start (monotonic; exported via Stats).
 	stolen atomic.Uint64
@@ -129,8 +130,7 @@ type IndexScheduler struct {
 
 	// Object pools backing zero-alloc admission. ipool holds plain
 	// inodes (keyed, free, multi-key readers); mkpool holds multi-key
-	// token inodes (recycled in handoff mode only); gpool holds reader
-	// groups.
+	// token inodes; gpool holds reader groups.
 	ipool  sync.Pool
 	mkpool sync.Pool
 	gpool  sync.Pool
@@ -262,8 +262,8 @@ func (q *ingress) pop() *inode {
 
 // inode is one admitted command (or one worker's view of a barrier or
 // multi-key token). Plain inodes are pooled and recycled at
-// completion; barrier inodes are not (parked workers may still select
-// on their channels), and token inodes recycle only in handoff mode.
+// completion, and so are multi-key token inodes; barrier inodes are
+// not (parked workers may still select on their channels).
 type inode struct {
 	req    *command.Request
 	marker func()        // quiesce marker closure (barrier tokens only)
@@ -302,10 +302,6 @@ type mkToken struct {
 	// before the token is enqueued; each owner deposits by decrementing
 	// at pop, and the owner that reaches zero executes.
 	pending atomic.Int32
-
-	executor int           // park mode: owners[0] executes
-	arrive   chan struct{} // park mode: owners signal "drained up to the token"
-	release  chan struct{} // park mode: closed by the executor after running
 
 	waitRs []*readerGroup // sealed reader sets of the touched keys
 	waitWs []*gate        // completion gates of predecessor multi-key tokens
@@ -387,10 +383,10 @@ type clientShard struct {
 const (
 	keyShardCount    = 128
 	clientShardCount = 64
-	// defaultStealBatch caps the commands an idle worker takes per
-	// steal; small enough that a mistaken steal cannot unbalance the
-	// victim, large enough to amortise the victim-lock acquisition.
-	defaultStealBatch = 8
+	// stealBatch caps the commands an idle worker takes per steal;
+	// small enough that a mistaken steal cannot unbalance the victim,
+	// large enough to amortise the victim-lock acquisition.
+	stealBatch = 8
 )
 
 // StartIndex launches the index engine: the per-worker queues and the
@@ -401,9 +397,6 @@ func StartIndex(cfg Config) (*IndexScheduler, error) {
 	}
 	if cfg.DedupWindow <= 0 {
 		cfg.DedupWindow = 512
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = defaultStealBatch
 	}
 	if cfg.Compiled == nil {
 		return nil, fmt.Errorf("sched: Compiled is required")
@@ -416,7 +409,6 @@ func StartIndex(cfg Config) (*IndexScheduler, error) {
 		queues:     make([]*ingress, cfg.Workers),
 		keyIdx:     make([]keyShard, keyShardCount),
 		clients:    make([]clientShard, clientShardCount),
-		stealBatch: cfg.StealBatch,
 		stealSig:   make(chan struct{}, 1),
 		buckets:    make([][]*inode, keyShardCount),
 		perWorker:  make([][]*inode, cfg.Workers),
@@ -486,12 +478,10 @@ func (s *IndexScheduler) getMK() *inode {
 	}
 }
 
-// putMK recycles a completed multi-key token — handoff mode only: a
-// park-mode token's released owners may still be selecting on
-// mk.release, so park-mode tokens are left to the GC. In handoff mode
-// no owner retains the inode past its deposit (the countdown is the
-// only cross-owner state), and completeMulti cleared the conflict
-// index under the shard locks before this call.
+// putMK recycles a completed multi-key token. No owner retains the
+// inode past its deposit (the countdown is the only cross-owner
+// state), and completeMulti cleared the conflict index under the shard
+// locks before this call.
 func (s *IndexScheduler) putMK(n *inode) {
 	mk := n.mk
 	mk.keys = mk.keys[:0]
@@ -579,7 +569,7 @@ func (s *IndexScheduler) SubmitBatch(reqs []*command.Request) bool {
 			// behind all of them, keeping one global admission order
 			// across all queues.
 			s.flush()
-			if route.ReadOnly && !s.cfg.NoReaderSets {
+			if route.ReadOnly {
 				s.admitMultiKeyRead(req, route, s.mkScratch)
 			} else {
 				s.admitMultiKey(req, route, s.mkScratch)
@@ -587,7 +577,7 @@ func (s *IndexScheduler) SubmitBatch(reqs []*command.Request) bool {
 		case cdep.RouteKeyed:
 			n := s.getInode()
 			n.req, n.keyed, n.key, n.set = req, true, key, route.Workers
-			n.reader = route.ReadOnly && !s.cfg.NoReaderSets
+			n.reader = route.ReadOnly
 			s.bufferKeyed(n)
 		default:
 			n := s.getInode()
@@ -707,7 +697,7 @@ func (s *IndexScheduler) flush() {
 		s.pendingLen[w] = 0
 		s.queues[w].pushBatch(ns)
 		s.perWorker[w] = ns[:0]
-		if !s.cfg.NoSteal && s.queues[w].freeLoad.Load() >= int64(s.stealBatch) {
+		if s.queues[w].freeLoad.Load() >= stealBatch {
 			// A stealable backlog built up: ring the doorbell so a
 			// parked worker rechecks the victim scan.
 			select {
@@ -735,11 +725,11 @@ func (s *IndexScheduler) addToWorker(n *inode) {
 // order) and wait for the reader set admitted since the previous
 // writer. Readers are routed independently and wait only for the last
 // admitted writer's completion gate. A successor admitted behind a
-// multi-key token additionally latches the token's completion gate:
-// under the handoff protocol a popped token may still be pending, so
-// FIFO position alone no longer implies the token completed. Every
-// wait edge points to an earlier-admitted command and every queue is
-// FIFO in admission order, so the wait graph is acyclic — no deadlock.
+// multi-key token additionally latches the token's completion gate: a
+// popped token may still be pending, so FIFO position alone does not
+// imply the token completed. Every wait edge points to an
+// earlier-admitted command and every queue is FIFO in admission order,
+// so the wait graph is acyclic — no deadlock.
 func (s *IndexScheduler) placeKeyedLocked(ks *keyShard, n *inode) {
 	e := ks.live[n.key]
 	if e == nil {
@@ -784,8 +774,8 @@ func (s *IndexScheduler) placeKeyedLocked(ks *keyShard, n *inode) {
 	}
 	if w := e.lastWriter; w != nil && w.mk != nil {
 		// The predecessor is a multi-key token, which may still be
-		// pending when this writer reaches the queue head (handoff
-		// mode): wait its completion gate explicitly.
+		// pending when this writer reaches the queue head: wait its
+		// completion gate explicitly.
 		n.waitW = w.gate
 	}
 	e.worker = n.worker
@@ -895,15 +885,8 @@ func (s *IndexScheduler) admitMultiKey(req *command.Request, route cdep.Route, k
 			mk.owners[j], mk.owners[j-1] = mk.owners[j-1], mk.owners[j]
 		}
 	}
-	mk.executor = mk.owners[0]
-	if s.cfg.NoMKHandoff {
-		mk.arrive = make(chan struct{}, len(mk.owners))
-		mk.release = make(chan struct{})
-	} else {
-		// The countdown must be armed before any owner can pop the
-		// token.
-		mk.pending.Store(int32(len(mk.owners)))
-	}
+	// The countdown must be armed before any owner can pop the token.
+	mk.pending.Store(int32(len(mk.owners)))
 	s.token[0] = n
 	for _, w := range mk.owners {
 		s.pendingLen[w] = 0
@@ -984,11 +967,22 @@ func (s *IndexScheduler) leastLoaded(set command.Gamma) int {
 	return best
 }
 
+// stealScanLimit bounds how far a thief scans into the victim's queue,
+// and with it the time spent under the victim's lock.
+const stealScanLimit = 8 * stealBatch
+
 // stealScratch is one worker's reusable steal buffers, sized once at
 // worker start so the steal path performs no allocation.
 type stealScratch struct {
 	batch []*inode // taken commands, cap stealBatch
-	keep  []*inode // scanned-but-kept prefix, cap = scan limit
+	keep  []*inode // scanned-but-kept prefix, cap stealScanLimit
+}
+
+func newStealScratch() *stealScratch {
+	return &stealScratch{
+		batch: make([]*inode, 0, stealBatch),
+		keep:  make([]*inode, 0, stealScanLimit),
+	}
 }
 
 // work is one pool worker draining its own ingress queue, stealing
@@ -997,14 +991,7 @@ func (s *IndexScheduler) work(w int) {
 	defer s.wg.Done()
 	q := s.queues[w]
 	cpu := s.cfg.CPU.Role("worker")
-	stealSig := s.stealSig
-	if s.cfg.NoSteal {
-		stealSig = nil
-	}
-	sc := &stealScratch{
-		batch: make([]*inode, 0, s.stealBatch),
-		keep:  make([]*inode, 0, 8*s.stealBatch),
-	}
+	sc := newStealScratch()
 	for {
 		n := q.pop()
 		if n == nil {
@@ -1025,7 +1012,7 @@ func (s *IndexScheduler) work(w int) {
 			select {
 			case <-q.wake:
 				continue
-			case <-stealSig:
+			case <-s.stealSig:
 				continue
 			case <-s.stop:
 				return
@@ -1044,11 +1031,7 @@ func (s *IndexScheduler) work(w int) {
 			if r := q.raided.Load(); r > 0 {
 				q.raided.Store(r / 2)
 			}
-			if s.cfg.NoMKHandoff {
-				if !s.rendezvousMulti(w, n, cpu) {
-					return
-				}
-			} else if n.mk.pending.Add(-1) == 0 {
+			if n.mk.pending.Add(-1) == 0 {
 				// Last depositor: every owner reached its token, so the
 				// key set is claimed — execute here.
 				s.cfg.Journal.Emit(obs.EvSchedHandoff, uint64(w), uint64(len(n.mk.keys)))
@@ -1080,9 +1063,6 @@ func (s *IndexScheduler) work(w int) {
 // skipped on an atomic read alone, and the scratch buffers make the
 // path allocation-free.
 func (s *IndexScheduler) steal(w int, sc *stealScratch) []*inode {
-	if s.cfg.NoSteal {
-		return nil
-	}
 	victim, most := -1, int64(0)
 	for i := range s.queues {
 		if i == w {
@@ -1096,7 +1076,7 @@ func (s *IndexScheduler) steal(w int, sc *stealScratch) []*inode {
 		return nil
 	}
 	q := s.queues[victim]
-	limit := 8 * s.stealBatch // bound the time under the victim's lock
+	limit := stealScanLimit
 	batch := sc.batch[:0]
 	keep := sc.keep[:0]
 	q.mu.Lock()
@@ -1112,7 +1092,7 @@ func (s *IndexScheduler) steal(w int, sc *stealScratch) []*inode {
 			// nothing at or past one may jump it.
 			break
 		}
-		if !n.keyed && len(batch) < s.stealBatch {
+		if !n.keyed && len(batch) < stealBatch {
 			batch = append(batch, n)
 			continue
 		}
@@ -1199,10 +1179,10 @@ func (s *IndexScheduler) execute(n *inode, cpu *bench.RoleMeter) bool {
 	return true
 }
 
-// executeMulti runs one multi-key token as its last-depositing owner
-// (handoff mode). Every owner has deposited, so per-key FIFO order
-// guarantees all earlier single-key commands of every touched key have
-// completed; predecessor multi-key tokens (popped but possibly still
+// executeMulti runs one multi-key token as its last-depositing owner.
+// Every owner has deposited, so per-key FIFO order guarantees all
+// earlier single-key commands of every touched key have completed;
+// predecessor multi-key tokens (popped but possibly still
 // pending) are waited out via their completion gates, and the sealed
 // reader sets of the touched keys via their done channels. It reports
 // false when the engine is stopping.
@@ -1293,74 +1273,6 @@ func (s *IndexScheduler) rendezvous(w int, n *inode, cpu *bench.RoleMeter) bool 
 	return true
 }
 
-// rendezvousMulti runs one multi-key token under the parking protocol
-// (Tuning.NoMKHandoff — the ablation baseline the handoff is measured
-// against): the executor (the lowest-id owner) waits for the other
-// owners to drain up to their tokens and park, waits out the sealed
-// reader sets, executes the command once, then releases the parked
-// owners. Per-key FIFO order guarantees every earlier writer of every
-// touched key completed before its owner reached the token, so the
-// rendezvous is exactly the same 2PL lock point as the handoff's last
-// deposit — at the cost of idling every non-executor owner for the
-// command's full duration. It reports false when the engine is
-// stopping.
-func (s *IndexScheduler) rendezvousMulti(w int, n *inode, cpu *bench.RoleMeter) bool {
-	mk := n.mk
-	if w != mk.executor {
-		select {
-		case mk.arrive <- struct{}{}:
-		case <-s.stop:
-			return false
-		}
-		select {
-		case <-mk.release:
-			return true
-		case <-s.stop:
-			return false
-		}
-	}
-	for i := 1; i < len(mk.owners); i++ {
-		select {
-		case <-mk.arrive:
-		case <-s.stop:
-			return false
-		}
-	}
-	for _, g := range mk.waitWs {
-		// Closed by construction in park mode (popped implies completed
-		// for every predecessor), but waiting keeps the two protocols
-		// structurally identical.
-		select {
-		case <-g.ch:
-		case <-s.stop:
-			return false
-		}
-	}
-	for _, g := range mk.waitRs {
-		select {
-		case <-g.done:
-		case <-s.stop:
-			return false
-		}
-		s.putGroup(g)
-	}
-	mk.waitRs = mk.waitRs[:0]
-	var start time.Time
-	if cpu != nil {
-		start = time.Now()
-	}
-	s.cfg.Trace.StampID(obs.StageExecStart, n.req.Client, n.req.Seq)
-	output := s.exec(n.req)
-	s.cfg.Trace.StampID(obs.StageExecEnd, n.req.Client, n.req.Seq)
-	s.respond(n.req, output)
-	if cpu != nil {
-		cpu.Add(time.Since(start))
-	}
-	s.completeMulti(n, output)
-	close(mk.release)
-	return true
-}
-
 // recordDone records a completed request in the at-most-once layer
 // (skipped entirely under an external execution hook).
 func (s *IndexScheduler) recordDone(req *command.Request, output []byte) {
@@ -1378,7 +1290,7 @@ func (s *IndexScheduler) recordDone(req *command.Request, output []byte) {
 // per-key conflict-index cleanup (in the same sorted-key order as
 // admission), and the completion-gate close that successors of any
 // touched key may be parked on. The token inode itself is recycled by
-// the caller (handoff mode only).
+// the caller.
 func (s *IndexScheduler) completeMulti(n *inode, output []byte) {
 	s.recordDone(n.req, output)
 	for _, key := range n.mk.keys {

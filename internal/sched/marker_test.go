@@ -33,7 +33,7 @@ func TestSubmitMarkerQuiesces(t *testing.T) {
 	for _, kind := range []SchedulerKind{KindScan, KindIndex} {
 		t.Run(kind.String(), func(t *testing.T) {
 			svc := &countSvc{slow: time.Millisecond}
-			e, _ := startEngine(t, kind, 4, svc, Tuning{})
+			e, _ := startEngine(t, kind, 4, svc)
 
 			const perPhase = 24
 			mkBatch := func(base uint64) []*command.Request {
@@ -97,7 +97,7 @@ func TestSubmitMarkerQuiesces(t *testing.T) {
 // Submit on the index engine (which orders across admission paths).
 func TestSubmitMarkerNilAndSingle(t *testing.T) {
 	svc := &countSvc{}
-	e, _ := startEngine(t, KindIndex, 2, svc, Tuning{})
+	e, _ := startEngine(t, KindIndex, 2, svc)
 	if !e.SubmitMarker(nil) {
 		t.Fatal("nil marker refused")
 	}

@@ -7,7 +7,6 @@ package sched
 // key still interlock with them.
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,39 +151,5 @@ func TestMultiKeyReadWriterInterlock(t *testing.T) {
 				t.Fatalf("write 80 on key 3 ran before snapshot 51: %v", svc.order)
 			}
 		})
-	}
-}
-
-// With reader sets disabled the index engine falls back to the owner
-// rendezvous for snapshot reads: still correct, just serialized.
-func TestMultiKeyReadNoReaderSetsFallback(t *testing.T) {
-	compiled, err := cdep.Compile(spec(), 4)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	svc := newTraceSetService(compiled, time.Millisecond)
-	net := transport.NewMemNetwork(1)
-	t.Cleanup(func() { _ = net.Close() })
-	e, err := StartIndex(Config{
-		Workers: 4, Service: svc, Compiled: compiled, Transport: net,
-		Tuning: Tuning{NoReaderSets: true},
-	})
-	if err != nil {
-		t.Fatalf("StartIndex: %v", err)
-	}
-	t.Cleanup(func() { _ = e.Close() })
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(1); i <= 8; i++ {
-			e.Submit(&command.Request{Client: i, Seq: 1, Cmd: cmdMRead, Input: input3(1, 2, i)})
-		}
-	}()
-	wg.Wait()
-	waitSetExecuted(t, svc, 8)
-	if svc.violation.Load() {
-		t.Fatal("conflicting commands overlapped")
 	}
 }

@@ -209,7 +209,7 @@ func TestMultiKeyKeylessFallsBackToBarrier(t *testing.T) {
 	for _, kind := range []SchedulerKind{KindScan, KindIndex} {
 		t.Run(kind.String(), func(t *testing.T) {
 			var count atomic.Int64
-			e, net := startEngine(t, kind, 4, countingService{&count}, Tuning{})
+			e, net := startEngine(t, kind, 4, countingService{&count})
 			reply, err := net.Listen("probe-mk")
 			if err != nil {
 				t.Fatalf("Listen: %v", err)
@@ -379,11 +379,7 @@ func TestStealAwarePlacementFeedback(t *testing.T) {
 		frees[i] = &inode{req: &command.Request{Client: 1, Seq: uint64(i + 1), Cmd: cmdPing}}
 	}
 	s.queues[0].pushBatch(frees)
-	sc := &stealScratch{
-		batch: make([]*inode, 0, s.stealBatch),
-		keep:  make([]*inode, 0, 8*s.stealBatch),
-	}
-	batch := s.steal(1, sc)
+	batch := s.steal(1, newStealScratch())
 	if len(batch) != 4 {
 		t.Fatalf("stole %d, want 4", len(batch))
 	}
@@ -406,7 +402,9 @@ func TestStealAwarePlacementFeedback(t *testing.T) {
 
 // The raided penalty decays in a LIVE engine once the raided queue's
 // owner drains it: pin a free command to worker 0 so its worker wakes,
-// empties its queue and halves the counter.
+// empties its queue and halves the counter. (One queued command is
+// below the steal doorbell's threshold, and a thief taking it anyway
+// would only add 1 before the owner's halving.)
 func TestStealAwarePenaltyDecays(t *testing.T) {
 	net := transport.NewMemNetwork(1)
 	t.Cleanup(func() { _ = net.Close() })
@@ -416,7 +414,7 @@ func TestStealAwarePenaltyDecays(t *testing.T) {
 	}
 	var count atomic.Int64
 	s, err := StartIndex(Config{Workers: 2, Service: countingService{&count},
-		Compiled: compiled, Transport: net, Tuning: Tuning{NoSteal: true}})
+		Compiled: compiled, Transport: net})
 	if err != nil {
 		t.Fatalf("StartIndex: %v", err)
 	}

@@ -7,9 +7,9 @@
 // positions P-SMR against: execution is parallel, but delivery and
 // scheduling run through a single, bottleneck-prone component.
 //
-// The scheduling engine itself lives in internal/sched and is shared
-// with the no-rep baseline; this package adds the ordered delivery
-// path (learner + delivery pump).
+// The scheduling engine itself lives in internal/sched (the optimistic
+// replica runs on it too); this package adds the ordered delivery path
+// (learner + delivery pump).
 package spsmr
 
 import (
@@ -47,9 +47,6 @@ type ReplicaConfig struct {
 	// (default, the paper's bottleneck) or the index-based early
 	// scheduler.
 	Scheduler sched.SchedulerKind
-	// Tuning carries the batch-first pipeline knobs (batched admission,
-	// reader sets, work stealing); the zero value enables everything.
-	Tuning sched.Tuning
 	// QueueBound sizes the scheduler-to-workers hand-off channel.
 	QueueBound int
 	// DedupWindow bounds the per-client at-most-once table.
@@ -60,8 +57,6 @@ type ReplicaConfig struct {
 	// (command.Snapshotter required), stores it keyed by (instance,
 	// fingerprint), and advances the learner's retain floor. The
 	// replica also serves peer catch-up at checkpoint.ServerAddr.
-	// Checkpointed pumps always use batched admission (markers are
-	// ordered on the batch path).
 	Checkpoint checkpoint.Config
 	// RecoverPeers, when non-empty (requires Checkpoint enabled),
 	// bootstraps the replica from a live peer: fetch the newest
@@ -87,18 +82,12 @@ type ReplicaConfig struct {
 type Replica struct {
 	learner   *paxos.Learner
 	scheduler sched.Engine
-	perCmd    bool // deliver one Submit per command (ablation)
 	ckpt      *checkpoint.Driver
 	ckptSrv   *checkpoint.Server
 	journal   *obs.Journal
 	replicaID int
 	done      chan struct{}
 	closeOnce sync.Once
-}
-
-// LearnerAddr names the replica's learner endpoint for cluster wiring.
-func LearnerAddr(replicaID int, groupID uint32) transport.Addr {
-	return transport.Addr(fmt.Sprintf("r%d/g%d", replicaID, groupID))
 }
 
 // StartReplica wires the learner and launches the scheduling engine.
@@ -109,21 +98,17 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spsmr: compile C-Dep: %w", err)
 	}
-	var snapper command.Snapshotter
-	if cfg.Checkpoint.Enabled() {
-		var ok bool
-		if snapper, ok = cfg.Service.(command.Snapshotter); !ok {
-			return nil, fmt.Errorf("spsmr: checkpointing requires the service to implement command.Snapshotter, got %T", cfg.Service)
-		}
+	ckptCfg := checkpoint.ReplicaConfig{
+		Config:       cfg.Checkpoint,
+		ReplicaID:    cfg.ReplicaID,
+		Transport:    cfg.Transport,
+		Service:      cfg.Service,
+		RecoverPeers: cfg.RecoverPeers,
+		FetchTimeout: cfg.FetchTimeout,
 	}
-	var boot *checkpoint.Bootstrap
-	if len(cfg.RecoverPeers) > 0 {
-		var err error
-		boot, err = checkpoint.Recover(cfg.Checkpoint, cfg.Transport, cfg.RecoverPeers,
-			cfg.ReplicaID, cfg.FetchTimeout, cfg.Service)
-		if err != nil {
-			return nil, fmt.Errorf("spsmr: %w", err)
-		}
+	boot, err := checkpoint.Prepare(ckptCfg)
+	if err != nil {
+		return nil, fmt.Errorf("spsmr: %w", err)
 	}
 	scheduler, err := sched.StartEngine(sched.Config{
 		Kind:        cfg.Scheduler,
@@ -136,14 +121,13 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		CPU:         cfg.CPU,
 		Trace:       cfg.Trace,
 		Journal:     cfg.Journal,
-		Tuning:      cfg.Tuning,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("spsmr: start scheduler: %w", err)
 	}
 	learner, err := paxos.StartLearner(paxos.LearnerConfig{
 		GroupID:       cfg.Group.ID,
-		Addr:          LearnerAddr(cfg.ReplicaID, cfg.Group.ID),
+		Addr:          paxos.LearnerAddr(cfg.ReplicaID, cfg.Group.ID),
 		Transport:     cfg.Transport,
 		Coordinators:  cfg.Group.Coordinators,
 		StartInstance: boot.Start(),
@@ -160,23 +144,10 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		scheduler: scheduler,
 		journal:   cfg.Journal,
 		replicaID: cfg.ReplicaID,
-		perCmd:    cfg.Tuning.NoBatchAdmit,
 		done:      make(chan struct{}),
 	}
 	if cfg.Checkpoint.Enabled() {
-		// Markers ride the batch admission path; the per-command
-		// ablation knob is overridden while checkpointing.
-		r.perCmd = false
-		p, err := checkpoint.Wire(checkpoint.WireConfig{
-			Config:    cfg.Checkpoint,
-			ReplicaID: cfg.ReplicaID,
-			Transport: cfg.Transport,
-			Snapshot:  func() ([]byte, bool) { return snapper.Snapshot(), true },
-			Floor:     learner.SetRetainFloor,
-			Log:       learner,
-			Replay:    replayTo(cfg.Transport, LearnerAddr(cfg.ReplicaID, cfg.Group.ID), cfg.Group.ID),
-			Boot:      boot,
-		})
+		p, err := checkpoint.Wire(ckptCfg, boot, learner, nil)
 		if err != nil {
 			_ = learner.Close()
 			_ = scheduler.Close()
@@ -186,14 +157,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	go r.deliver()
 	return r, nil
-}
-
-// replayTo injects fetched decided values into a learner endpoint as
-// ordinary decision frames.
-func replayTo(tr transport.Transport, addr transport.Addr, groupID uint32) func(uint64, []byte) {
-	return func(instance uint64, value []byte) {
-		_ = tr.Send(addr, paxos.NewDecisionFrame(groupID, instance, value))
-	}
 }
 
 // SchedStats reports the engine's work-stealing counters (zeros for
@@ -234,8 +197,7 @@ func (r *Replica) Close() error {
 // the scheduler's sequential admission stream (the defining property
 // of sP-SMR). Whole decided batches are handed to the engine so it
 // acquires its shard and ingress locks once per burst instead of once
-// per command; NoBatchAdmit falls back to one Submit per command (the
-// ablation baseline).
+// per command.
 func (r *Replica) deliver() {
 	defer close(r.done)
 	cursor := r.learner.NewCursor()
@@ -245,18 +207,6 @@ func (r *Replica) deliver() {
 			return
 		}
 		if batch.Skip {
-			continue
-		}
-		if r.perCmd {
-			for _, item := range batch.Items {
-				req, _, err := command.DecodeRequest(item)
-				if err != nil {
-					continue
-				}
-				if !r.scheduler.Submit(req) {
-					return
-				}
-			}
 			continue
 		}
 		reqs := make([]*command.Request, 0, len(batch.Items))

@@ -50,7 +50,7 @@ func startTestReplica(t *testing.T, kind sched.SchedulerKind, workers int, svc c
 		CandidateIdx: 0,
 		Candidates:   candAddrs,
 		Acceptors:    accAddrs,
-		Learners:     []transport.Addr{LearnerAddr(0, gid)},
+		Learners:     []transport.Addr{paxos.LearnerAddr(0, gid)},
 		Transport:    net,
 	})
 	if err != nil {
@@ -189,12 +189,6 @@ func TestReplicaCloseIdempotent(t *testing.T) {
 	}
 	if err := r.replica.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-func TestLearnerAddrFormat(t *testing.T) {
-	if got := LearnerAddr(2, 5); got != "r2/g5" {
-		t.Fatalf("LearnerAddr = %q", got)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package workload drives the evaluation: key-selection distributions
-// (uniform and Zipfian with exponent 1, as in paper §VII-G), command
-// mixes, and closed-loop clients that keep a window of outstanding
-// requests (the paper's clients use a window of 50, §VI-B).
+// Package workload generates the evaluation's inputs: key-selection
+// distributions (uniform and Zipfian with exponent 1, as in paper
+// §VII-G) and command mixes over the key-value store. The load driver
+// that issues them is benchmark/loadgen.go.
 package workload
 
 import (
@@ -102,21 +102,4 @@ func helper2(x float64) float64 {
 		return math.Expm1(x) / x
 	}
 	return 1 + x*0.5*(1+x*(1/3.0)*(1+x*0.25))
-}
-
-// Hot deterministically concentrates a fraction of accesses on a
-// single key (for targeted load-balancing tests).
-type Hot struct {
-	// N is the key-space size; HotKey receives Fraction of draws.
-	N        uint64
-	HotKey   uint64
-	Fraction float64
-}
-
-// Key implements KeyGen.
-func (h Hot) Key(rng *rand.Rand) uint64 {
-	if rng.Float64() < h.Fraction {
-		return h.HotKey
-	}
-	return uint64(rng.Int63n(int64(h.N)))
 }

@@ -92,21 +92,6 @@ func TestZipfSingleKey(t *testing.T) {
 	}
 }
 
-func TestHotKeyGen(t *testing.T) {
-	gen := Hot{N: 100, HotKey: 42, Fraction: 0.5}
-	rng := rand.New(rand.NewSource(5))
-	hot := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		if gen.Key(rng) == 42 {
-			hot++
-		}
-	}
-	if hot < draws/2-draws/10 {
-		t.Fatalf("hot key drawn %d of %d", hot, draws)
-	}
-}
-
 func TestMixWeights(t *testing.T) {
 	mix := NewMix(
 		MixEntry{Weight: 3, Make: func(*rand.Rand) Op { return Op{Cmd: 1} }},
@@ -139,80 +124,5 @@ func TestKVGenerators(t *testing.T) {
 	op = KVUpdates(keys).Next(rng)
 	if op.Cmd != kvstore.CmdUpdate || len(op.Input) != 16 {
 		t.Fatalf("update op: %+v", op)
-	}
-	seenInsert, seenDelete := false, false
-	for i := 0; i < 100; i++ {
-		op = KVInsertsDeletes(keys).Next(rng)
-		switch op.Cmd {
-		case kvstore.CmdInsert:
-			seenInsert = true
-		case kvstore.CmdDelete:
-			seenDelete = true
-		default:
-			t.Fatalf("unexpected cmd %d", op.Cmd)
-		}
-	}
-	if !seenInsert || !seenDelete {
-		t.Fatal("insert/delete generator one-sided")
-	}
-}
-
-func TestKVMixedDependentFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	gen := KVMixed(Uniform{N: 100}, 10) // 10% dependent
-	dep := 0
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		op := gen.Next(rng)
-		if op.Cmd == kvstore.CmdInsert || op.Cmd == kvstore.CmdDelete {
-			dep++
-		}
-	}
-	frac := float64(dep) / draws * 100
-	if frac < 8.5 || frac > 11.5 {
-		t.Fatalf("dependent fraction = %.2f%%, want ~10%%", frac)
-	}
-}
-
-func TestKVReadUpdateSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	gen := KVReadUpdate(Uniform{N: 100})
-	reads := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		if gen.Next(rng).Cmd == kvstore.CmdRead {
-			reads++
-		}
-	}
-	if reads < draws/2-draws/20 || reads > draws/2+draws/20 {
-		t.Fatalf("reads = %d of %d, want ~half", reads, draws)
-	}
-}
-
-// fakeInvoker counts invocations with a tiny artificial latency.
-type fakeInvoker struct{ calls int64 }
-
-func (f *fakeInvoker) Invoke(cmd command.ID, input []byte) ([]byte, error) {
-	f.calls++
-	return []byte{0}, nil
-}
-
-func TestRunnerMeasures(t *testing.T) {
-	clients := []Invoker{&fakeInvoker{}, &fakeInvoker{}}
-	ops, elapsed, hist := Run(RunnerConfig{
-		Clients:  clients,
-		Window:   1,
-		Gen:      KVReads(Uniform{N: 10}),
-		Duration: 100 * 1e6, // 100ms
-		Warmup:   20 * 1e6,
-	})
-	if ops <= 0 {
-		t.Fatal("no ops measured")
-	}
-	if elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	if hist.Count() != ops {
-		t.Fatalf("hist count %d != ops %d", hist.Count(), ops)
 	}
 }

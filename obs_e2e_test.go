@@ -16,9 +16,8 @@ import (
 
 // TestTracingStageHistogramsE2E traces every command (TraceSample=1)
 // through an sP-SMR deployment and checks that the per-stage latency
-// histograms cover the whole pipeline, that the registry snapshot and
-// the Prometheus text exposition carry them, and that the breakdown
-// table renders.
+// histograms cover the whole pipeline and that the registry snapshot
+// and the Prometheus text exposition carry them.
 func TestTracingStageHistogramsE2E(t *testing.T) {
 	cl, _ := startCluster(t, psmr.Config{
 		Mode:        psmr.ModeSPSMR,
@@ -50,9 +49,6 @@ func TestTracingStageHistogramsE2E(t *testing.T) {
 	}
 	if tr.TotalHistogram().Count() == 0 {
 		t.Fatal("no end-to-end latencies")
-	}
-	if !strings.Contains(tr.StageBreakdown(), "total") {
-		t.Fatalf("breakdown missing total row:\n%s", tr.StageBreakdown())
 	}
 
 	flat := cl.Registry().Flatten()

@@ -17,9 +17,9 @@
 //     pool (the CBASE/Eve family the paper compares against).
 //
 // A Cluster runs all roles in one process over an in-process message
-// network, which is how the test-suite and the benchmark harness
-// reproduce the paper's evaluation; the cmd/ directory wires the same
-// components over TCP for multi-process deployments.
+// network, which is how the test-suite and benchmark/ drive the
+// paper's evaluation; the cmd/ directory wires the same components
+// over TCP for multi-process deployments.
 package psmr
 
 import (
@@ -59,11 +59,6 @@ type CheckpointCounters = checkpoint.Counters
 
 // SchedulerKind selects the sP-SMR scheduling engine (ModeSPSMR only).
 type SchedulerKind = sched.SchedulerKind
-
-// SchedTuning carries the batch-first execution pipeline knobs
-// (batched admission on/off, reader sets on/off, work stealing on/off
-// and its batch size); the zero value enables everything.
-type SchedTuning = sched.Tuning
 
 // sP-SMR scheduling engines.
 const (
@@ -150,10 +145,6 @@ type Config struct {
 	Scheduler SchedulerKind
 	// SchedulerQueue bounds the sP-SMR ready queue. Default 4096.
 	SchedulerQueue int
-	// SchedTuning switches the batch-first pipeline optimisations
-	// (batched admission, reader sets, work stealing, steal batch
-	// size) off for ablations; the zero value is the tuned pipeline.
-	SchedTuning SchedTuning
 	// Optimistic enables optimistic execution on the sP-SMR path
 	// (ModeSPSMR only): coordinators push proposals to the learners
 	// before phase 2 completes, replicas execute them speculatively
@@ -297,6 +288,21 @@ func (c *Config) groupCount() int {
 	}
 }
 
+// replica is what the cluster needs from every replica runtime
+// (core.Replica, spsmr.Replica, optimistic.Replica). What only some of
+// them have — engine stealing counters, speculation counters — is
+// reached by asserting schedStatser / *optimistic.Replica.
+type replica interface {
+	Close() error
+	CheckpointCounters() checkpoint.Counters
+	GapStalls() uint64
+}
+
+// schedStatser is a replica running a sched engine.
+type schedStatser interface {
+	SchedStats() (stolen uint64, raided int64)
+}
+
 // Cluster is a running deployment: Paxos roles plus replicas, all over
 // one transport.
 type Cluster struct {
@@ -313,10 +319,8 @@ type Cluster struct {
 
 	// replMu guards the replica slots: RestartReplica swaps a slot
 	// while the anomaly watcher and live metric scrapes read them.
-	replMu    sync.RWMutex
-	replicas  []*core.Replica
-	schedRepl []*spsmr.Replica
-	optRepl   []*optimistic.Replica
+	replMu   sync.RWMutex
+	replicas []replica
 
 	tracer  *obs.Tracer
 	reg     *obs.Registry
@@ -437,7 +441,7 @@ func (cl *Cluster) startOrdering() error {
 	nGroups := cfg.groupCount()
 
 	// Learner push targets per group: one learner endpoint per
-	// (replica, group), named by core.LearnerAddr.
+	// (replica, group), named by paxos.LearnerAddr.
 	for g := 0; g < nGroups; g++ {
 		gid := uint32(g)
 		accAddrs := make([]transport.Addr, cfg.Acceptors)
@@ -450,7 +454,7 @@ func (cl *Cluster) startOrdering() error {
 		}
 		var pushAddrs []transport.Addr
 		for r := 0; r < cfg.Replicas; r++ {
-			pushAddrs = append(pushAddrs, core.LearnerAddr(r, gid))
+			pushAddrs = append(pushAddrs, paxos.LearnerAddr(r, gid))
 		}
 		// Standby candidates track decisions for retransmission.
 		pushAddrs = append(pushAddrs, candAddrs[1:]...)
@@ -559,14 +563,7 @@ func ProxyAddr(i int) transport.Addr {
 // startReplicas launches the mode-specific execution engines.
 func (cl *Cluster) startReplicas() error {
 	cfg := &cl.cfg
-	switch {
-	case cfg.Mode == ModeSPSMR && cfg.Optimistic:
-		cl.optRepl = make([]*optimistic.Replica, cfg.Replicas)
-	case cfg.Mode == ModeSPSMR:
-		cl.schedRepl = make([]*spsmr.Replica, cfg.Replicas)
-	default:
-		cl.replicas = make([]*core.Replica, cfg.Replicas)
-	}
+	cl.replicas = make([]replica, cfg.Replicas)
 	for r := 0; r < cfg.Replicas; r++ {
 		if err := cl.startReplica(r, nil); err != nil {
 			return err
@@ -580,9 +577,47 @@ func (cl *Cluster) startReplicas() error {
 // the new replica bootstraps from.
 func (cl *Cluster) startReplica(r int, peers []transport.Addr) error {
 	cfg := &cl.cfg
-	switch cfg.Mode {
-	case ModePSMR, ModeSMR:
-		rep, err := core.StartReplica(core.ReplicaConfig{
+	var (
+		rep replica
+		err error
+	)
+	switch {
+	case cfg.Mode == ModeSPSMR && cfg.Optimistic:
+		rep, err = optimistic.StartReplica(optimistic.ReplicaConfig{
+			ReplicaID:    r,
+			Workers:      cfg.Workers,
+			Service:      cfg.NewService(),
+			Spec:         cfg.Spec,
+			Group:        cl.groups[0],
+			Transport:    cfg.Transport,
+			Scheduler:    cfg.Scheduler,
+			QueueBound:   cfg.SchedulerQueue,
+			ReorderEvery: cfg.OptimisticReorder,
+			ReSpeculate:  cfg.OptimisticReSpeculate,
+			Checkpoint:   cfg.Checkpoint,
+			RecoverPeers: peers,
+			CPU:          cfg.CPU,
+			Trace:        cl.tracer,
+			Journal:      cl.journal,
+		})
+	case cfg.Mode == ModeSPSMR:
+		rep, err = spsmr.StartReplica(spsmr.ReplicaConfig{
+			ReplicaID:    r,
+			Workers:      cfg.Workers,
+			Service:      cfg.NewService(),
+			Spec:         cfg.Spec,
+			Group:        cl.groups[0],
+			Transport:    cfg.Transport,
+			Scheduler:    cfg.Scheduler,
+			QueueBound:   cfg.SchedulerQueue,
+			Checkpoint:   cfg.Checkpoint,
+			RecoverPeers: peers,
+			CPU:          cfg.CPU,
+			Trace:        cl.tracer,
+			Journal:      cl.journal,
+		})
+	default:
+		rep, err = core.StartReplica(core.ReplicaConfig{
 			ReplicaID:    r,
 			Workers:      cfg.Workers,
 			Service:      cfg.NewService(),
@@ -596,63 +631,13 @@ func (cl *Cluster) startReplica(r int, peers []transport.Addr) error {
 			Trace:        cl.tracer,
 			Journal:      cl.journal,
 		})
-		if err != nil {
-			return fmt.Errorf("psmr: start replica %d: %w", r, err)
-		}
-		cl.replMu.Lock()
-		cl.replicas[r] = rep
-		cl.replMu.Unlock()
-	case ModeSPSMR:
-		if cfg.Optimistic {
-			rep, err := optimistic.StartReplica(optimistic.ReplicaConfig{
-				ReplicaID:    r,
-				Workers:      cfg.Workers,
-				Service:      cfg.NewService(),
-				Spec:         cfg.Spec,
-				Group:        cl.groups[0],
-				Transport:    cfg.Transport,
-				Scheduler:    cfg.Scheduler,
-				Tuning:       cfg.SchedTuning,
-				QueueBound:   cfg.SchedulerQueue,
-				ReorderEvery: cfg.OptimisticReorder,
-				ReSpeculate:  cfg.OptimisticReSpeculate,
-				Checkpoint:   cfg.Checkpoint,
-				RecoverPeers: peers,
-				CPU:          cfg.CPU,
-				Trace:        cl.tracer,
-				Journal:      cl.journal,
-			})
-			if err != nil {
-				return fmt.Errorf("psmr: start optimistic replica %d: %w", r, err)
-			}
-			cl.replMu.Lock()
-			cl.optRepl[r] = rep
-			cl.replMu.Unlock()
-			return nil
-		}
-		rep, err := spsmr.StartReplica(spsmr.ReplicaConfig{
-			ReplicaID:    r,
-			Workers:      cfg.Workers,
-			Service:      cfg.NewService(),
-			Spec:         cfg.Spec,
-			Group:        cl.groups[0],
-			Transport:    cfg.Transport,
-			Scheduler:    cfg.Scheduler,
-			QueueBound:   cfg.SchedulerQueue,
-			Tuning:       cfg.SchedTuning,
-			Checkpoint:   cfg.Checkpoint,
-			RecoverPeers: peers,
-			CPU:          cfg.CPU,
-			Trace:        cl.tracer,
-			Journal:      cl.journal,
-		})
-		if err != nil {
-			return fmt.Errorf("psmr: start sp-smr replica %d: %w", r, err)
-		}
-		cl.replMu.Lock()
-		cl.schedRepl[r] = rep
-		cl.replMu.Unlock()
 	}
+	if err != nil {
+		return fmt.Errorf("psmr: start replica %d: %w", r, err)
+	}
+	cl.replMu.Lock()
+	cl.replicas[r] = rep
+	cl.replMu.Unlock()
 	return nil
 }
 
@@ -756,14 +741,7 @@ func (cl *Cluster) OrderingCounters() OrderingCounters {
 // CrashReplica kills replica r (clients keep being served by the
 // others).
 func (cl *Cluster) CrashReplica(r int) {
-	switch {
-	case cl.cfg.Mode == ModeSPSMR && cl.cfg.Optimistic:
-		_ = cl.optRepl[r].Close()
-	case cl.cfg.Mode == ModeSPSMR:
-		_ = cl.schedRepl[r].Close()
-	default:
-		_ = cl.replicas[r].Close()
-	}
+	_ = cl.replicas[r].Close()
 }
 
 // RestartReplica restarts a crashed (or still-running — it is closed
@@ -800,16 +778,6 @@ func (cl *Cluster) CheckpointCounters() []CheckpointCounters {
 			counters = append(counters, rep.CheckpointCounters())
 		}
 	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			counters = append(counters, rep.CheckpointCounters())
-		}
-	}
-	for _, rep := range cl.optRepl {
-		if rep != nil {
-			counters = append(counters, rep.CheckpointCounters())
-		}
-	}
 	return counters
 }
 
@@ -818,9 +786,11 @@ func (cl *Cluster) CheckpointCounters() []CheckpointCounters {
 func (cl *Cluster) OptimisticCounters() []OptimisticCounters {
 	cl.replMu.RLock()
 	defer cl.replMu.RUnlock()
-	counters := make([]OptimisticCounters, 0, len(cl.optRepl))
-	for _, rep := range cl.optRepl {
-		counters = append(counters, rep.Counters())
+	var counters []OptimisticCounters
+	for _, rep := range cl.replicas {
+		if opt, ok := rep.(*optimistic.Replica); ok {
+			counters = append(counters, opt.Counters())
+		}
 	}
 	return counters
 }
@@ -945,32 +915,12 @@ func (cl *Cluster) registerMetrics() {
 
 	if cl.cfg.Mode == ModeSPSMR {
 		r.FuncCounter("sched_stolen_total", "", func() uint64 {
-			cl.replMu.RLock()
-			defer cl.replMu.RUnlock()
-			var total uint64
-			for _, rep := range cl.schedRepl {
-				s, _ := rep.SchedStats()
-				total += s
-			}
-			for _, rep := range cl.optRepl {
-				s, _ := rep.SchedStats()
-				total += s
-			}
-			return total
+			stolen, _ := cl.schedStats()
+			return stolen
 		})
 		r.FuncGauge("sched_raided", "", func() float64 {
-			cl.replMu.RLock()
-			defer cl.replMu.RUnlock()
-			var total int64
-			for _, rep := range cl.schedRepl {
-				_, ra := rep.SchedStats()
-				total += ra
-			}
-			for _, rep := range cl.optRepl {
-				_, ra := rep.SchedStats()
-				total += ra
-			}
-			return float64(total)
+			_, raided := cl.schedStats()
+			return float64(raided)
 		})
 	}
 
@@ -1085,17 +1035,22 @@ func (cl *Cluster) gapStalls() uint64 {
 			total += rep.GapStalls()
 		}
 	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			total += rep.GapStalls()
-		}
-	}
-	for _, rep := range cl.optRepl {
-		if rep != nil {
-			total += rep.GapStalls()
-		}
-	}
 	return total
+}
+
+// schedStats sums the engines' work-stealing counters across every
+// replica that runs one.
+func (cl *Cluster) schedStats() (stolen uint64, raided int64) {
+	cl.replMu.RLock()
+	defer cl.replMu.RUnlock()
+	for _, rep := range cl.replicas {
+		if ss, ok := rep.(schedStatser); ok {
+			s, ra := ss.SchedStats()
+			stolen += s
+			raided += ra
+		}
+	}
+	return stolen, raided
 }
 
 // CrashRelay kills relay i of group g (staleness-detection tests):
@@ -1124,16 +1079,6 @@ func (cl *Cluster) Close() error {
 		<-cl.anomDone
 	}
 	for _, rep := range cl.replicas {
-		if rep != nil {
-			_ = rep.Close()
-		}
-	}
-	for _, rep := range cl.schedRepl {
-		if rep != nil {
-			_ = rep.Close()
-		}
-	}
-	for _, rep := range cl.optRepl {
 		if rep != nil {
 			_ = rep.Close()
 		}

@@ -1,18 +1,17 @@
 package psmr_test
 
-// End-to-end determinism for the scheduler raw-speed tier: the
-// deposit-and-continue multi-key handoff replaces the parking owner
-// rendezvous with an execution discipline where owners keep draining
-// unrelated keyed work while a token is pending, but both protocols
-// claim the same per-key lock points in the same global order — so
-// full replicated clusters running either one (and either scheduling
-// engine, with or without speculation riding on top) must converge to
-// byte-identical state fingerprints under the shared mixed workload of
-// two-key transfers, snapshot reads, keyed updates and plain reads.
-// The owner-level concurrency claims themselves (owners drain while a
-// token pends under handoff; they provably idle under park) are pinned
-// by the internal/sched stress tests; this file is the whole-cluster
-// acceptance bar. Runs under `make race`.
+// End-to-end determinism for the index engine's multi-key handoff: its
+// owners keep draining unrelated keyed work while a token is pending,
+// yet it must claim the same per-key lock points in the same global
+// order as the scan engine, which tracks conflicts against the live
+// set and shares no code with it. Full replicated clusters running
+// either engine — with or without speculation riding on top — must
+// therefore converge to byte-identical state fingerprints under the
+// shared mixed workload of two-key transfers, snapshot reads, keyed
+// updates and plain reads. The owner-level concurrency claim itself
+// (owners drain while a token pends) is pinned by the internal/sched
+// tests; this file is the whole-cluster acceptance bar. Runs under
+// `make race`.
 
 import (
 	"testing"
@@ -20,38 +19,27 @@ import (
 	psmr "github.com/psmr/psmr"
 )
 
-// TestHandoffDeterminismVsPark compares every raw-speed-tier variant
-// against the parked-rendezvous baseline fingerprint: the handoff
-// engine plain, the scan engine (which ignores the knob — the
-// cross-engine control), and handoff under speculation with and
-// without forced optimistic/decided reordering, which drives the
-// rollback path across pooled multi-key tokens.
-func TestHandoffDeterminismVsPark(t *testing.T) {
-	parked := func(cfg *psmr.Config) { cfg.SchedTuning.NoMKHandoff = true }
-	want, _ := runOptimisticWorkload(t, psmr.SchedIndex, false, 0, false, parked)
+// TestHandoffDeterminismVsScan compares every handoff variant against
+// the scan engine's fingerprint: the index engine plain, and under
+// speculation with and without forced optimistic/decided reordering,
+// which drives the rollback path across pooled multi-key tokens.
+func TestHandoffDeterminismVsScan(t *testing.T) {
+	want, _ := runOptimisticWorkload(t, psmr.SchedScan, false, 0, false)
 
 	variants := []struct {
 		name       string
-		scheduler  psmr.SchedulerKind
 		optimistic bool
 		reorder    int
-		park       bool
 	}{
-		{name: "index-handoff", scheduler: psmr.SchedIndex},
-		{name: "scan-control", scheduler: psmr.SchedScan},
-		{name: "index-handoff-optimistic", scheduler: psmr.SchedIndex, optimistic: true},
-		{name: "index-handoff-optimistic-reorder", scheduler: psmr.SchedIndex, optimistic: true, reorder: 2},
-		{name: "index-park-optimistic-reorder", scheduler: psmr.SchedIndex, optimistic: true, reorder: 2, park: true},
+		{name: "index-handoff"},
+		{name: "index-handoff-optimistic", optimistic: true},
+		{name: "index-handoff-optimistic-reorder", optimistic: true, reorder: 2},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			var mutate []func(*psmr.Config)
-			if v.park {
-				mutate = append(mutate, parked)
-			}
-			got, counters := runOptimisticWorkload(t, v.scheduler, v.optimistic, v.reorder, false, mutate...)
+			got, counters := runOptimisticWorkload(t, psmr.SchedIndex, v.optimistic, v.reorder, false)
 			if got != want {
-				t.Fatalf("%s fingerprint %x, want parked baseline %x", v.name, got, want)
+				t.Fatalf("%s fingerprint %x, want scan baseline %x", v.name, got, want)
 			}
 			if v.optimistic {
 				t.Logf("%s: %v", v.name, counters)
