@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify vet build test no-legacy-rollback no-ablation-forks allocs-gate flight-gate benchmark-check race paxos-stress
+.PHONY: verify vet build test procs no-legacy-rollback no-ablation-forks allocs-gate flight-gate benchmark-check race paxos-stress
 
-verify: vet build test no-legacy-rollback no-ablation-forks allocs-gate flight-gate benchmark-check
+verify: vet build test procs no-legacy-rollback no-ablation-forks allocs-gate flight-gate benchmark-check
 
 vet:
 	$(GO) vet ./...
@@ -15,6 +15,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Batch sealing is event-driven (a proxy or coordinator seals when its
+# endpoints run dry) and the engines are parallel, so what these
+# packages do depends on how goroutines are scheduled: run them at 1, 2
+# and 4 Ps, so a failure that needs one degree of parallelism cannot
+# hide behind the host's.
+procs:
+	@for p in 1 2 4; do \
+		echo "GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/paxos ./internal/proxy ./internal/optimistic ./internal/sched || exit 1; \
+	done
 
 # The undo-record/clone-replay rollback model is gone: non-test code
 # must not reference the deleted command.Undoable/command.Cloneable

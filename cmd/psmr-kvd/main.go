@@ -20,7 +20,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	psmr "github.com/psmr/psmr"
 	"github.com/psmr/psmr/internal/command"
@@ -40,19 +39,18 @@ func main() {
 		ckpt    = flag.Int("checkpoint", 0, "coordinated checkpoint interval in decided commands (0 = off; single-ordered-stream modes only); SIGHUP then crash-restarts replica 1 from its peer's snapshot")
 		proxies = flag.Int("proxies", 0, "ingress proxy-proposer tier size (0 = clients submit to coordinators directly); clients must pass the same -proxies")
 		pbatch  = flag.Int("proxy-batch", 0, "commands per sealed proxy batch (0 = default)")
-		pdelay  = flag.Duration("proxy-delay", 0, "max delay before a partial proxy batch seals (0 = default)")
 		fanout  = flag.Int("fanout", 0, "decided-value delivery stripes per group (0 = coordinator broadcasts directly)")
 		metrics = flag.String("metrics-addr", "", "serve live metrics on this host:port — /metrics (Prometheus text), /debug/vars (expvar), /debug/pprof (empty = off)")
 		tsample = flag.Int("trace-sample", 0, "pipeline-stage trace sampling: 0 = 1 in 1024, 1 = every command, -1 = off")
 		journal = flag.Int("journal-events", 0, "flight-recorder journal size in events: 0 = default (4096), -1 = off; dump with SIGQUIT or GET /debug/flight")
 	)
 	flag.Parse()
-	if err := run(*listen, *mode, *sched, *workers, *keys, *opt, *ckpt, *proxies, *pbatch, *pdelay, *fanout, *metrics, *tsample, *journal); err != nil {
+	if err := run(*listen, *mode, *sched, *workers, *keys, *opt, *ckpt, *proxies, *pbatch, *fanout, *metrics, *tsample, *journal); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(listen, modeName, schedName string, workers, keys int, optimistic bool, ckptInterval, proxies, proxyBatch int, proxyDelay time.Duration, fanout int, metricsAddr string, traceSample, journalEvents int) error {
+func run(listen, modeName, schedName string, workers, keys int, optimistic bool, ckptInterval, proxies, proxyBatch, fanout int, metricsAddr string, traceSample, journalEvents int) error {
 	var mode psmr.Mode
 	switch modeName {
 	case "psmr":
@@ -95,7 +93,6 @@ func run(listen, modeName, schedName string, workers, keys int, optimistic bool,
 		Checkpoint:    psmr.CheckpointConfig{Interval: ckptInterval},
 		Proxies:       proxies,
 		ProxyBatch:    proxyBatch,
-		ProxyDelay:    proxyDelay,
 		FanoutDegree:  fanout,
 		Transport:     node,
 		TraceSample:   traceSample,

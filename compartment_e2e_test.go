@@ -29,32 +29,32 @@ import (
 )
 
 // withCompartment switches on the ordering-layer tiers: p ingress
-// proxies sealing at batch commands (or after 1ms) and fan delivery
-// stripes per group.
+// proxies sealing at batch commands (or when they run dry) and fan
+// delivery stripes per group.
 func withCompartment(p, batch, fan int) func(*psmr.Config) {
 	return func(cfg *psmr.Config) {
 		cfg.Proxies = p
 		cfg.ProxyBatch = batch
-		cfg.ProxyDelay = time.Millisecond
 		cfg.FanoutDegree = fan
 	}
 }
 
 // TestProxyFrameCompressionE2E pins the acceptance bar for the proxy
 // tier at the cluster level: with one proxy sealing at 8 commands and
-// a pipelined client, the leader's inbound frames per command must
-// drop at least 4x below direct submission's 1.0. The seal is
-// count-driven (64 async submits fill 8 batches of 8 long before the
-// 500ms delay can fire), so the assertion is deterministic.
+// concurrent pipelined submitters, the leader's inbound frames per
+// command must drop at least 4x below direct submission's 1.0. A proxy
+// seals on count or as soon as its endpoint runs dry, so the batch size
+// is whatever arrived while it was busy: submitters that each keep a
+// burst in flight are what fills batches, exactly as under production
+// load.
 func TestProxyFrameCompressionE2E(t *testing.T) {
 	cl, err := psmr.StartCluster(psmr.Config{
-		Mode:      psmr.ModeSPSMR,
-		Workers:   2,
-		Scheduler: psmr.SchedIndex,
-		Spec:      kvstore.Spec(),
-		Proxies:   1,
+		Mode:       psmr.ModeSPSMR,
+		Workers:    2,
+		Scheduler:  psmr.SchedIndex,
+		Spec:       kvstore.Spec(),
+		Proxies:    1,
 		ProxyBatch: 8,
-		ProxyDelay: 500 * time.Millisecond,
 		NewService: func() command.Service {
 			st := kvstore.New()
 			st.Preload(32)
@@ -66,41 +66,61 @@ func TestProxyFrameCompressionE2E(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cl.Close() })
 
-	inv, err := cl.NewClient()
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	t.Cleanup(func() { _ = inv.Close() })
-
-	const ops = 64 // multiple of ProxyBatch: every batch seals on count
-	calls := make([]*core.Call, ops)
-	for i := 0; i < ops; i++ {
-		val := binary.LittleEndian.AppendUint64(nil, uint64(i))
-		call, err := inv.Submit(kvstore.CmdUpdate, kvstore.EncodeKeyValue(uint64(i%32), val))
+	const (
+		submitters = 4
+		rounds     = 16
+		burst      = 32
+		ops        = submitters * rounds * burst
+	)
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters)
+	for s := 0; s < submitters; s++ {
+		inv, err := cl.NewClient()
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("NewClient: %v", err)
 		}
-		calls[i] = call
+		t.Cleanup(func() { _ = inv.Close() })
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			calls := make([]*core.Call, burst)
+			for r := 0; r < rounds; r++ {
+				for i := range calls {
+					val := binary.LittleEndian.AppendUint64(nil, uint64(r*burst+i))
+					call, err := inv.Submit(kvstore.CmdUpdate, kvstore.EncodeKeyValue(uint64((s*burst+i)%32), val))
+					if err != nil {
+						errs <- fmt.Errorf("submitter %d: submit: %w", s, err)
+						return
+					}
+					calls[i] = call
+				}
+				for _, call := range calls {
+					if out, err := call.Wait(); err != nil || out[0] != kvstore.OK {
+						errs <- fmt.Errorf("submitter %d: %v %v", s, err, out)
+						return
+					}
+				}
+			}
+		}(s)
 	}
-	for i, call := range calls {
-		out, err := call.Wait()
-		if err != nil || out[0] != kvstore.OK {
-			t.Fatalf("op %d: %v %v", i, err, out)
-		}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
 	oc := cl.OrderingCounters()
 	if len(oc.Proxies) != 1 {
 		t.Fatalf("proxy counters: %+v", oc.Proxies)
 	}
-	if q, b := oc.Proxies[0].Queued, oc.Proxies[0].Batches; q != ops || b != ops/8 {
-		t.Fatalf("proxy sealed %d commands into %d batches, want %d into %d", q, b, ops, ops/8)
+	if q, c := oc.Proxies[0].Queued, oc.Proxies[0].Commands; q != ops || c != ops {
+		t.Fatalf("proxy admitted %d and forwarded %d commands, want %d", q, c, ops)
 	}
 	if got := oc.Leader.InboundCommands; got < ops {
 		t.Fatalf("leader admitted %d commands, want >= %d", got, ops)
 	}
 	if fpc := oc.Leader.FramesPerCommand(); fpc > 0.25 {
-		t.Fatalf("leader frames per command = %.3f, want <= 0.25 (>= 4x compression): %+v", fpc, oc.Leader)
+		t.Fatalf("leader frames per command = %.3f, want <= 0.25 (>= 4x compression): %+v, proxy %+v", fpc, oc.Leader, oc.Proxies[0])
 	}
 }
 
@@ -117,7 +137,6 @@ func TestProxyFailoverE2E(t *testing.T) {
 		Spec:       kvstore.Spec(),
 		Proxies:    2,
 		ProxyBatch: 4,
-		ProxyDelay: time.Millisecond,
 		NewService: func() command.Service {
 			st := kvstore.New()
 			st.Preload(16)

@@ -138,6 +138,11 @@ func (c *Client) Submit(cmd command.ID, input []byte) (*Call, error) {
 		group:  c.physicalGroup(gamma),
 		respCh: make(chan []byte, 1),
 	}
+	c.pending[seq] = call
+	c.mu.Unlock()
+
+	// Encoded outside the lock (demux takes it per response): nothing
+	// reads the frame before Submit returns.
 	call.frame = command.AppendRequest(nil, &command.Request{
 		Client: c.cfg.ID,
 		Seq:    seq,
@@ -146,9 +151,6 @@ func (c *Client) Submit(cmd command.ID, input []byte) (*Call, error) {
 		Input:  input,
 		Reply:  c.cfg.ReplyAddr,
 	})
-	c.pending[seq] = call
-	c.mu.Unlock()
-
 	if err := c.cfg.Sender.Multicast(call.group, call.frame); err != nil {
 		if errors.Is(err, multicast.ErrProxyDown) {
 			// The whole proxy tier is unreachable: fail the submit with

@@ -43,6 +43,21 @@ func (t *Table) Lookup(client, seq uint64) (output []byte, duplicate bool) {
 	return output, duplicate
 }
 
+// Seen reports whether (client, seq) already went through this table:
+// its response is cached, or seq lies below the client's eviction floor
+// — executed and evicted, or older than anything a correct client can
+// still have outstanding. Lookup misses the latter; a caller for which
+// executing such a request again is wasted work (speculation on a stream
+// that lags the decided order) asks Seen instead.
+func (t *Table) Seen(client, seq uint64) bool {
+	c, ok := t.clients[client]
+	if !ok {
+		return false
+	}
+	_, cached := c.responses[seq]
+	return cached || seq < c.minSeq
+}
+
 // Record stores the response of a just-executed request and evicts old
 // entries beyond the window.
 func (t *Table) Record(client, seq uint64, output []byte) {

@@ -36,8 +36,13 @@ type ExecutorConfig struct {
 	// DedupWindow bounds the per-client confirmed-output cache.
 	// Default 512.
 	DedupWindow int
-	// MaxSpeculations bounds the unconfirmed speculation window.
-	// Default 65536.
+	// MaxSpeculations bounds the unconfirmed speculation window: a few
+	// consensus batches, because speculation is only worth anything as
+	// a short prefix ahead of the decided order — a replica whose
+	// decided cursor lags must not run thousands of commands ahead on a
+	// stream whose every reordering it will have to roll back (a
+	// rollback costs up to the window squared, which makes it lag
+	// more). Default 512.
 	MaxSpeculations int
 	// GhostEvictAfter withdraws an unconfirmed speculation once this
 	// many decided commands have been reconciled since it was admitted
@@ -68,6 +73,9 @@ type ExecutorConfig struct {
 	// flight recorder.
 	Journal *obs.Journal
 }
+
+// DefaultMaxSpeculations is ExecutorConfig.MaxSpeculations' default.
+const DefaultMaxSpeculations = 512
 
 // requestID identifies a command invocation.
 type requestID struct{ client, seq uint64 }
@@ -230,7 +238,7 @@ func StartExecutor(cfg ExecutorConfig) (*Executor, error) {
 		cfg.DedupWindow = 512
 	}
 	if cfg.MaxSpeculations <= 0 {
-		cfg.MaxSpeculations = 1 << 16
+		cfg.MaxSpeculations = DefaultMaxSpeculations
 	}
 	if cfg.GhostEvictAfter <= 0 {
 		cfg.GhostEvictAfter = 4096
@@ -294,9 +302,20 @@ func (x *Executor) Counters() Counters {
 	}
 }
 
+// WindowFull reports whether the unconfirmed window has reached
+// MaxSpeculations. The replica's driver stops reading the optimistic
+// stream while it has, so speculation resumes in stream order once
+// decided batches have made room.
+func (x *Executor) WindowFull() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.byID) >= x.cfg.MaxSpeculations
+}
+
 // Speculate admits one optimistically delivered batch for speculative
 // execution. Duplicates (already speculated or already confirmed) are
-// dropped; admission stops while the unconfirmed window is full.
+// dropped, and so is whatever does not fit the unconfirmed window (it
+// executes on the decided path).
 func (x *Executor) Speculate(reqs []*command.Request) {
 	var admit []*command.Request
 	x.mu.Lock()
@@ -305,7 +324,11 @@ func (x *Executor) Speculate(reqs []*command.Request) {
 		if _, dup := x.byID[id]; dup {
 			continue
 		}
-		if _, dup := x.confirmed.Lookup(req.Client, req.Seq); dup {
+		// Seen, not Lookup: an optimistic stream that lags the decided
+		// one (lost or late frames, a window that stayed full) delivers
+		// requests whose outputs the cache evicted long ago, and
+		// speculating those again would fill the window with ghosts.
+		if x.confirmed.Seen(req.Client, req.Seq) {
 			continue
 		}
 		if len(x.byID) >= x.cfg.MaxSpeculations {
@@ -799,7 +822,7 @@ func (x *Executor) flushReSpec() {
 		if _, dup := x.byID[id]; dup {
 			continue
 		}
-		if _, dup := x.confirmed.Lookup(req.Client, req.Seq); dup {
+		if x.confirmed.Seen(req.Client, req.Seq) {
 			continue
 		}
 		if len(x.byID) >= x.cfg.MaxSpeculations {

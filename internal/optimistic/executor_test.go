@@ -19,6 +19,13 @@ import (
 // command.Versioned service) on the given engine.
 func startKV(t *testing.T, kind sched.SchedulerKind, workers, keys int) (*Executor, *kvstore.Store, *transport.MemNetwork) {
 	t.Helper()
+	return startKVWindow(t, kind, workers, keys, 0)
+}
+
+// startKVWindow is startKV with an explicit speculation window (0 =
+// the default).
+func startKVWindow(t *testing.T, kind sched.SchedulerKind, workers, keys, window int) (*Executor, *kvstore.Store, *transport.MemNetwork) {
+	t.Helper()
 	st := kvstore.New()
 	st.Preload(keys)
 	compiled, err := cdep.Compile(kvstore.Spec(), workers)
@@ -33,6 +40,8 @@ func startKV(t *testing.T, kind sched.SchedulerKind, workers, keys int) (*Execut
 		Compiled:  compiled,
 		Transport: net,
 		Scheduler: kind,
+		// 0 selects the default.
+		MaxSpeculations: window,
 	})
 	if err != nil {
 		t.Fatalf("StartExecutor: %v", err)
@@ -92,8 +101,8 @@ func TestMissExecutesOnDecidedPath(t *testing.T) {
 	spec := []*command.Request{req(1, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(3, val(111)))}
 	x.Speculate(spec)
 	missed := req(2, 1, kvstore.CmdUpdate, kvstore.EncodeKeyValue(3, val(222)))
-	x.Commit(spec)                             // hit
-	x.Commit([]*command.Request{missed})       // miss, after the hit
+	x.Commit(spec)                       // hit
+	x.Commit([]*command.Request{missed}) // miss, after the hit
 	c := x.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Rollbacks != 0 {
 		t.Fatalf("counters = %+v, want 1 hit / 1 miss", c)
@@ -609,7 +618,9 @@ func TestConfirmedSnapshotNetFS(t *testing.T) {
 // backlog on disjoint keys, confirming unrelated commands must not
 // scan the backlog (the old check was O(window) per decided command).
 func TestKeyIndexSkipsUnrelatedBacklog(t *testing.T) {
-	x, st, _ := startKV(t, sched.KindIndex, 2, 4096)
+	// The test speculates 1500 deep on purpose, far past the default
+	// window.
+	x, st, _ := startKVWindow(t, sched.KindIndex, 2, 4096, 4096)
 	// 1000 unconfirmed ghosts on keys 1000..1999.
 	var ghosts []*command.Request
 	for i := uint64(0); i < 1000; i++ {
@@ -648,5 +659,38 @@ func TestKeyIndexSkipsUnrelatedBacklog(t *testing.T) {
 	}
 	if got := readKey(t, st, 1000); got != 7 {
 		t.Fatalf("key 1000 = %d, want 7", got)
+	}
+}
+
+// The unconfirmed window is a short prefix of the decided order: it
+// admits MaxSpeculations commands and no more, makes room as decisions
+// confirm them, and never re-admits a command whose decision has
+// already been reconciled — however long ago — so an optimistic stream
+// that lags the decided one cannot fill it with ghosts.
+func TestSpeculationWindowBoundsAndDropsStale(t *testing.T) {
+	const window = DefaultMaxSpeculations
+	x, _, _ := startKV(t, sched.KindIndex, 2, 4096)
+	batch := func(from, n uint64) []*command.Request {
+		var reqs []*command.Request
+		for seq := from; seq < from+n; seq++ {
+			reqs = append(reqs, req(1, seq, kvstore.CmdUpdate, kvstore.EncodeKeyValue(seq%4096, val(seq))))
+		}
+		return reqs
+	}
+	x.Speculate(batch(1, window+100))
+	if c := x.Counters(); c.Speculated != window || !x.WindowFull() {
+		t.Fatalf("speculated %d of %d offered, full=%v; want the window's %d", c.Speculated, window+100, x.WindowFull(), window)
+	}
+	x.Commit(batch(1, 64))
+	if c := x.Counters(); c.Hits != 64 || x.WindowFull() {
+		t.Fatalf("after confirming 64: %+v, full=%v; want 64 hits and room", c, x.WindowFull())
+	}
+	// Decide far past the at-most-once cache (512 outputs per client),
+	// then deliver the optimistic copies of the oldest commands.
+	x.Commit(batch(65, 2000))
+	before := x.Counters().Speculated
+	x.Speculate(batch(1, 64))
+	if after := x.Counters().Speculated; after != before {
+		t.Fatalf("%d already-decided commands were speculated again", after-before)
 	}
 }

@@ -87,8 +87,14 @@
 // unconfirmed speculation once GhostEvictAfter decided commands have
 // passed it by. Eviction is always safe: if the value is decided after
 // all, it simply re-executes as a miss. The MaxSpeculations window cap
-// backstops admission itself — when full, the replica stops
-// speculating and degrades to sP-SMR behavior, never to inconsistency.
+// keeps speculation a short prefix of the decided order: while the
+// window is full the driver leaves the optimistic stream unread and
+// runs decided-only, and resumes in stream order as reconciliation
+// makes room, so a replica that falls behind speculates at most one
+// window ahead of its own decided cursor instead of ever deeper on a
+// stream it will have to roll back. A window full of ghosts degrades
+// the replica to sP-SMR behavior until they are evicted, never to
+// inconsistency.
 //
 // Hit-rate, rollback-count and rollback-depth counters are exposed via
 // Executor.Counters / Replica.Counters and the optimistic_* registry
@@ -136,9 +142,9 @@ type ReplicaConfig struct {
 	QueueBound int
 	// DedupWindow bounds the per-client confirmed-output cache.
 	DedupWindow int
-	// MaxSpeculations bounds the unconfirmed speculation window;
-	// admission stops speculating (commands execute on the decided
-	// path instead) while the window is full. Default 65536.
+	// MaxSpeculations bounds the unconfirmed speculation window; the
+	// driver stops reading the optimistic stream while the window is
+	// full (see ExecutorConfig). Default 512.
 	MaxSpeculations int
 	// GhostEvictAfter withdraws an unconfirmed speculation once this
 	// many decided commands passed it by (see ExecutorConfig).
@@ -312,20 +318,25 @@ func (r *Replica) Close() error {
 // drive is the replica's single delivery loop: ONE goroutine owns both
 // cursors, so engine admissions (speculative and decided-path) happen
 // in one well-defined serial order — the property every reconciliation
-// invariant rests on. Decided batches take priority (NextEither) so
-// the speculation window stays short, but before each reconcile the
-// optimistic BACKLOG is drained into the executor: admission is
-// non-blocking, and it puts the about-to-be-decided commands onto the
-// worker pool so they execute in parallel while the reconciliation
-// walk confirms them in decided order. Without the drain, a driver
-// that falls behind the decided stream would starve speculation
-// entirely (optimistic batches would rot until already confirmed).
+// invariant rests on. Decided batches take priority (NextEither), and
+// before each reconcile the optimistic backlog is fed to the executor
+// as far as the speculation window allows: admission is non-blocking,
+// and it puts the about-to-be-decided commands onto the worker pool so
+// they execute in parallel while the reconciliation walk confirms them
+// in decided order. While the window is full the optimistic stream is
+// left unread — decided-only, resuming where it stopped once a
+// reconcile has made room — so a driver that falls behind the decided
+// stream speculates one window ahead of it, not the whole backlog.
 func (r *Replica) drive() {
 	defer close(r.done)
 	dec := r.learner.NewCursor()
 	opt := r.learner.NewOptCursor()
 	for {
-		b, instance, decided, ok := r.learner.NextEither(dec, opt)
+		feed := opt
+		if r.executor.WindowFull() {
+			feed = nil
+		}
+		b, instance, decided, ok := r.learner.NextEither(dec, feed)
 		if !ok {
 			return
 		}
@@ -333,7 +344,7 @@ func (r *Replica) drive() {
 			r.speculate(b)
 			continue
 		}
-		for {
+		for !r.executor.WindowFull() {
 			ob, ready := opt.TryNext()
 			if !ready {
 				break

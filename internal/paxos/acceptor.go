@@ -22,10 +22,20 @@ type AcceptorConfig struct {
 	CPU *bench.RoleMeter
 }
 
-// Acceptor is the durable voting role of Paxos. It maintains a single
-// promised ballot covering all instances (Multi-Paxos) and a map of
-// accepted (instance, ballot, value) triples. State is kept in memory;
-// log truncation is out of scope (see DESIGN.md).
+// acceptorRetain is how many instances below the leader's decided
+// frontier an acceptor keeps: slack for a standby whose own frontier
+// lags the leader's, so that after a fail-over it can still complete its
+// log from phase 1 instead of the retransmission path.
+const acceptorRetain = 1024
+
+// Acceptor is the voting role of Paxos. It maintains a single promised
+// ballot covering all instances (Multi-Paxos) and a map of accepted
+// (instance, ballot, value) triples, kept in memory. The log is
+// truncated behind the leader: every Phase2a carries the leader's
+// decided frontier, the acceptor drops what lies more than
+// acceptorRetain instances below it and remembers that trim mark, and
+// Phase1b reports the mark so a new leader never proposes into the
+// trimmed (decided) prefix.
 type Acceptor struct {
 	cfg AcceptorConfig
 	ep  transport.Endpoint
@@ -33,6 +43,9 @@ type Acceptor struct {
 	mu       sync.Mutex
 	promised Ballot
 	accepted map[uint64]acceptedEntry
+	// trimmed is the trim mark: every instance below it is decided and
+	// no longer held here.
+	trimmed uint64
 
 	done chan struct{}
 }
@@ -72,6 +85,13 @@ func (a *Acceptor) AcceptedCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.accepted)
+}
+
+// Trimmed returns the trim mark (for tests).
+func (a *Acceptor) Trimmed() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.trimmed
 }
 
 func (a *Acceptor) run() {
@@ -119,13 +139,15 @@ func (a *Acceptor) handlePhase1a(m *message) {
 			entries = append(entries, acceptedEntry{Instance: inst, Ballot: e.Ballot, Value: e.Value})
 		}
 	}
+	trimmed := a.trimmed
 	a.mu.Unlock()
 	a.send(m.Addr, &message{
-		Type:     msgPhase1b,
-		Group:    a.cfg.GroupID,
-		Ballot:   m.Ballot,
-		Acceptor: a.cfg.ID,
-		Entries:  entries,
+		Type:      msgPhase1b,
+		Group:     a.cfg.GroupID,
+		Ballot:    m.Ballot,
+		Acceptor:  a.cfg.ID,
+		Instance2: Instance2{To: trimmed},
+		Entries:   entries,
 	})
 }
 
@@ -142,7 +164,16 @@ func (a *Acceptor) handlePhase2a(m *message) {
 		return
 	}
 	a.promised = m.Ballot
-	a.accepted[m.Instance] = acceptedEntry{Instance: m.Instance, Ballot: m.Ballot, Value: m.Value}
+	if m.Instance >= a.trimmed {
+		a.accepted[m.Instance] = acceptedEntry{Instance: m.Instance, Ballot: m.Ballot, Value: m.Value}
+	}
+	// m.To is the leader's decided frontier. Instances are dense, so the
+	// walk from the old mark to the new one visits each entry once.
+	if m.To > acceptorRetain {
+		for mark := m.To - acceptorRetain; a.trimmed < mark; a.trimmed++ {
+			delete(a.accepted, a.trimmed)
+		}
+	}
 	a.mu.Unlock()
 	a.send(m.Addr, &message{
 		Type:     msgPhase2b,

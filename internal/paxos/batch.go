@@ -37,14 +37,23 @@ func EncodeBatch(b *Batch) []byte {
 		binary.LittleEndian.PutUint32(buf[1:], b.SkipSlots)
 		return buf
 	}
+	return appendNormalBatch(make([]byte, 0, normalBatchSize(b.Items)), b.Items)
+}
+
+// normalBatchSize is the encoded size of a normal batch of items.
+func normalBatchSize(items [][]byte) int {
 	size := 1 + 4
-	for _, item := range b.Items {
+	for _, item := range items {
 		size += 4 + len(item)
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// appendNormalBatch appends the normal-batch encoding of items to buf.
+func appendNormalBatch(buf []byte, items [][]byte) []byte {
 	buf = append(buf, batchKindNormal)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Items)))
-	for _, item := range b.Items {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
+	for _, item := range items {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(item)))
 		buf = append(buf, item...)
 	}

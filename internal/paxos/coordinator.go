@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -38,11 +39,14 @@ type CoordinatorConfig struct {
 	// Transport carries the coordinator's traffic.
 	Transport transport.Transport
 
-	// BatchMaxBytes flushes a batch when its payload reaches this size.
-	// Default 8192, the paper's 8 KB (§VI-A).
+	// BatchMaxBytes flushes a batch when its payload reaches this size,
+	// whatever is in flight. Default 8192, the paper's 8 KB (§VI-A).
 	BatchMaxBytes int
-	// FlushInterval bounds how long a non-empty batch may wait before
-	// being proposed. Default 200µs.
+	// FlushInterval is an upper bound, not a delay: the batch in
+	// formation is proposed as soon as the inbound endpoints are drained
+	// and nothing is in flight, or when the instance in flight decides
+	// (see Coordinator). The timer only bounds the wait when that
+	// decision never comes (lost messages). Default 5ms.
 	FlushInterval time.Duration
 	// SkipInterval, when positive, makes the leader pad the group's
 	// sequence with skip batches so the group produces at least
@@ -90,7 +94,7 @@ func (c *CoordinatorConfig) fillDefaults() {
 		c.BatchMaxBytes = 8192
 	}
 	if c.FlushInterval <= 0 {
-		c.FlushInterval = 200 * time.Microsecond
+		c.FlushInterval = 5 * time.Millisecond
 	}
 	if c.SkipSlots == 0 {
 		c.SkipSlots = 256
@@ -109,10 +113,24 @@ func (c *CoordinatorConfig) fillDefaults() {
 	}
 }
 
+// pendingInstance is one proposed, undecided instance. value aliases
+// the Phase2a frame that proposed it.
 type pendingInstance struct {
 	value []byte
 	acks  map[uint32]bool
 }
+
+// sealBelow is the number of in-flight instances below which the leader
+// proposes the batch in formation without waiting for it to fill. At 1,
+// an idle leader orders a lone command in one message round trip and a
+// busy one forms the next batch while the previous is in consensus
+// (group commit); full batches are proposed whatever is in flight, so a
+// loaded leader still pipelines up to Window.
+const sealBelow = 1
+
+// drainMax bounds how many already-readable frames the event loop
+// handles between two blocking selects.
+const drainMax = 256
 
 // ProtoAddr derives the protocol (priority) endpoint address of a
 // coordinator candidate from its public proposal address. Acceptor
@@ -127,6 +145,14 @@ func ProtoAddr(candidate transport.Addr) transport.Addr {
 // proposals, runs Paxos phase 2 (phase 1 on ballot changes), pushes
 // decisions to learners, serves retransmission requests, and
 // participates in leader fail-over.
+//
+// Batching is event-driven: the batch in formation is proposed when it
+// reaches BatchMaxBytes, or when fewer than sealBelow instances are in
+// flight once the event loop has handled what was readable — the
+// inbound endpoints ran dry, or the instance in flight decided. An idle
+// group therefore adds no delay and a saturated one forms batches as
+// large as arrive during a consensus round; FlushInterval is only the
+// upper bound for a round that never ends.
 //
 // It listens on two endpoints: the public one (client proposals,
 // retransmission requests, decision gossip) and a protocol one
@@ -145,27 +171,35 @@ type Coordinator struct {
 	believedLeader int
 	lastHeartbeat  time.Time
 
-	// Phase 1 state.
+	// Phase 1 state. p1Mark is the highest trim mark the promising
+	// acceptors reported.
 	p1Acks    map[uint32]bool
 	p1Entries map[uint64]acceptedEntry
+	p1Mark    uint64
 
 	// Instance state.
 	nextInstance uint64
 	pending      map[uint64]*pendingInstance
-	backlog      [][]byte // encoded batch values awaiting window space
+	backlog      [][]byte // Phase2a frames awaiting window space (or leadership)
 
 	// Current batch being accumulated.
 	curItems [][]byte
 	curBytes int
 
-	// Decision log for learner retransmission.
+	// Decision log for learner retransmission. A value aliases the
+	// Decision frame it was pushed (or gossiped) in, which in-process is
+	// the buffer the learners' logs alias too.
 	decisions  map[uint64][]byte
 	frontier   uint64 // all instances < frontier are in decisions (until trimmed)
 	trimBelow  uint64
 	sinceSweep int
 	// slotsSinceTick counts merge slots produced by real batches since
-	// the last skip tick; the tick pads the difference to SkipSlots.
+	// the last skip tick; the tick pads the difference to SkipSlots per
+	// interval elapsed. skipEpoch is when the skip ticker started,
+	// skipTicks how many of its intervals have been accounted for.
 	slotsSinceTick uint32
+	skipEpoch      time.Time
+	skipTicks      uint64
 	// optSeq numbers this leader's optimistic deliveries within its
 	// current ballot (Optimistic only).
 	optSeq uint64
@@ -294,6 +328,7 @@ func (c *Coordinator) run() {
 
 	var skipC <-chan time.Time
 	if c.cfg.SkipInterval > 0 {
+		c.skipEpoch = time.Now() // not after the ticker's own start: tick k must count k intervals
 		skipTicker := time.NewTicker(c.cfg.SkipInterval)
 		defer skipTicker.Stop()
 		skipC = skipTicker.C
@@ -305,20 +340,7 @@ func (c *Coordinator) run() {
 	}
 
 	for {
-		// Protocol traffic (acceptor replies, heartbeats) is drained
-		// with priority so client-proposal floods cannot delay
-		// consensus completion or fail-over detection.
-		select {
-		case frame, ok := <-c.protoEP.Recv():
-			if !ok {
-				return
-			}
-			t0 := time.Now()
-			c.handle(frame)
-			c.cfg.CPU.Add(time.Since(t0))
-			continue
-		default:
-		}
+		var t0 time.Time
 		select {
 		case <-c.stop:
 			return
@@ -330,34 +352,70 @@ func (c *Coordinator) run() {
 				Pending:      len(c.pending),
 				Backlog:      len(c.backlog),
 			}
+			continue
 		case frame, ok := <-c.protoEP.Recv():
 			if !ok {
 				return
 			}
-			t0 := time.Now()
+			t0 = time.Now()
 			c.handle(frame)
-			c.cfg.CPU.Add(time.Since(t0))
 		case frame, ok := <-c.ep.Recv():
 			if !ok {
 				return
 			}
-			t0 := time.Now()
+			t0 = time.Now()
 			c.handle(frame)
-			c.cfg.CPU.Add(time.Since(t0))
 		case <-c.flushTimer.C:
-			t0 := time.Now()
+			t0 = time.Now()
 			c.flush()
-			c.cfg.CPU.Add(time.Since(t0))
 		case <-skipC:
-			t0 := time.Now()
-			c.skipTick()
-			c.cfg.CPU.Add(time.Since(t0))
+			// The tick's own timestamp is not used: under load the
+			// runtime hands ticks over late and their times can even run
+			// backwards by an interval, while t0 never does.
+			t0 = time.Now()
+			c.skipTick(t0)
 		case <-hbTicker.C:
-			t0 := time.Now()
+			t0 = time.Now()
 			c.heartbeatTick()
-			c.cfg.CPU.Add(time.Since(t0))
+		}
+		open := c.drain()
+		c.cfg.CPU.Add(time.Since(t0))
+		if !open {
+			return
 		}
 	}
+}
+
+// drain handles what is already readable — at most drainMax frames, so
+// that timers, Status and Close are served under sustained load — and
+// then proposes the batch in formation if little enough is in flight
+// (sealEarly): the endpoints ran dry, or an instance decided on the way.
+// Protocol traffic (acceptor replies, heartbeats) goes first so that
+// floods of client proposals cannot delay consensus completions or
+// fail-over detection. It reports false when an endpoint closed.
+func (c *Coordinator) drain() bool {
+	for n := 0; n < drainMax; n++ {
+		var (
+			frame []byte
+			ok    bool
+		)
+		select {
+		case frame, ok = <-c.protoEP.Recv():
+		default:
+			select {
+			case frame, ok = <-c.ep.Recv():
+			default:
+				c.sealEarly()
+				return true
+			}
+		}
+		if !ok {
+			return false
+		}
+		c.handle(frame)
+	}
+	c.sealEarly()
+	return true
 }
 
 func (c *Coordinator) handle(frame []byte) {
@@ -463,13 +521,24 @@ func (c *Coordinator) admit(value []byte) {
 	}
 }
 
-// flush encodes the current batch and proposes it (or backlogs it when
-// the window is full).
+// sealEarly proposes the batch in formation, however small, when fewer
+// than sealBelow instances are in flight. The event loop calls it once
+// it has handled what was readable, so a decision that came with more
+// proposals behind it seals them all.
+func (c *Coordinator) sealEarly() {
+	if c.leader && len(c.pending) < sealBelow {
+		c.flush()
+	}
+}
+
+// flush encodes the current batch, straight into the Phase2a frame that
+// will carry it, and proposes it (or backlogs it when the window is
+// full).
 func (c *Coordinator) flush() {
 	if len(c.curItems) == 0 {
 		return
 	}
-	value := EncodeBatch(&Batch{Items: c.curItems})
+	frame := newBatchFrame(msgPhase2a, c.cfg.GroupID, c.protoAddr(), c.curItems)
 	c.cfg.Journal.Emit(obs.EvLeaderFlush, uint64(len(c.curItems)), uint64(c.curBytes))
 	// One merge slot per command (not per batch): slot accounting must
 	// match the receivers' command-granular merge.
@@ -477,20 +546,24 @@ func (c *Coordinator) flush() {
 	c.curItems = nil
 	c.curBytes = 0
 	c.flushTimer.Stop()
-	c.proposeValue(value)
+	c.propose(frame)
 }
 
-func (c *Coordinator) proposeValue(value []byte) {
-	if !c.leader {
-		c.backlog = append(c.backlog, value)
-		return
-	}
-	if len(c.pending) >= c.cfg.Window {
-		c.backlog = append(c.backlog, value)
+func (c *Coordinator) protoAddr() transport.Addr {
+	return ProtoAddr(c.cfg.Candidates[c.cfg.CandidateIdx])
+}
+
+// propose assigns the next instance to a Phase2a frame built without
+// one (flush, skipTick) and sends it, or backlogs it while this
+// candidate is not leading or the window is full.
+func (c *Coordinator) propose(frame []byte) {
+	if !c.leader || len(c.pending) >= c.cfg.Window {
+		c.backlog = append(c.backlog, frame)
 		return
 	}
 	inst := c.nextInstance
 	c.nextInstance++
+	value := frameValue(frame)
 	c.pending[inst] = &pendingInstance{value: value, acks: make(map[uint32]bool, len(c.cfg.Acceptors))}
 	// Optimistic delivery: push the value to the learners BEFORE phase 2
 	// runs on it. Emitting at instance-assignment time means the
@@ -506,30 +579,39 @@ func (c *Coordinator) proposeValue(value []byte) {
 			Instance: c.optSeq,
 			Value:    value,
 		}
-		frame := encodeMessage(m)
-		frame = appendBatchTags(c.cfg.Trace, frame, value)
+		opt := encodeMessage(m)
+		opt = appendBatchTags(c.cfg.Trace, opt, value)
 		if n := len(c.cfg.Relays); n > 0 {
-			_ = c.cfg.Transport.Send(c.cfg.Relays[c.optSeq%uint64(n)], frame)
+			_ = c.cfg.Transport.Send(c.cfg.Relays[c.optSeq%uint64(n)], opt)
 		} else {
 			for _, l := range c.cfg.Learners {
-				_ = c.cfg.Transport.Send(l, frame)
+				_ = c.cfg.Transport.Send(l, opt)
 			}
 		}
 		c.optSeq++
 	}
-	c.sendPhase2a(inst, value)
+	binary.LittleEndian.PutUint64(frame[ballotOff:], uint64(c.ballot))
+	binary.LittleEndian.PutUint64(frame[instanceOff:], inst)
+	// The decided frontier rides along so acceptors can truncate.
+	binary.LittleEndian.PutUint64(frame[toOff:], c.frontier)
+	for _, acc := range c.cfg.Acceptors {
+		_ = c.cfg.Transport.Send(acc, frame)
+	}
 }
 
-func (c *Coordinator) sendPhase2a(inst uint64, value []byte) {
-	m := &message{
-		Type:     msgPhase2a,
-		Group:    c.cfg.GroupID,
-		Ballot:   c.ballot,
-		Instance: inst,
-		Addr:     ProtoAddr(c.cfg.Candidates[c.cfg.CandidateIdx]),
-		Value:    value,
-	}
-	frame := encodeMessage(m)
+// rePropose runs phase 2 on an instance a new leader inherited (or
+// hole-fills) after phase 1.
+func (c *Coordinator) rePropose(inst uint64, value []byte) {
+	frame := encodeMessage(&message{
+		Type:      msgPhase2a,
+		Group:     c.cfg.GroupID,
+		Ballot:    c.ballot,
+		Instance:  inst,
+		Instance2: Instance2{To: c.frontier},
+		Addr:      c.protoAddr(),
+		Value:     value,
+	})
+	c.pending[inst] = &pendingInstance{value: frameValue(frame), acks: make(map[uint32]bool, len(c.cfg.Acceptors))}
 	for _, acc := range c.cfg.Acceptors {
 		_ = c.cfg.Transport.Send(acc, frame)
 	}
@@ -558,7 +640,6 @@ func (c *Coordinator) decide(inst uint64, value []byte) {
 	}
 	c.decided.Add(1)
 	c.cfg.Journal.Emit(obs.EvDecide, uint64(c.cfg.GroupID), inst)
-	c.storeDecision(inst, value)
 	m := &message{
 		Type:     msgDecision,
 		Group:    c.cfg.GroupID,
@@ -567,6 +648,10 @@ func (c *Coordinator) decide(inst uint64, value []byte) {
 	}
 	frame := encodeMessage(m)
 	frame = appendBatchTags(c.cfg.Trace, frame, value)
+	// Retain the copy inside the frame, not the proposal's: the Phase2a
+	// frame then dies with the acceptors' truncation, and in-process this
+	// log and the learners' share one buffer.
+	c.storeDecision(inst, frameValue(frame))
 	// Striped fan-out: with relays configured the leader hands each
 	// decision to exactly one relay, which re-broadcasts to all
 	// learners. Learners tolerate the resulting cross-stripe reordering
@@ -603,15 +688,7 @@ func (c *Coordinator) storeDecision(inst uint64, value []byte) {
 		return
 	}
 	c.decisions[inst] = value
-	for {
-		if _, ok := c.decisions[c.frontier]; !ok {
-			break
-		}
-		c.frontier++
-	}
-	if c.nextInstance < c.frontier {
-		c.nextInstance = c.frontier
-	}
+	c.advanceFrontier()
 	// Amortised sweep of entries older than the retention window.
 	c.sinceSweep++
 	if c.sinceSweep >= 1024 {
@@ -630,15 +707,28 @@ func (c *Coordinator) storeDecision(inst uint64, value []byte) {
 	}
 }
 
+// advanceFrontier moves the frontier over every contiguous decision.
+func (c *Coordinator) advanceFrontier() {
+	for {
+		if _, ok := c.decisions[c.frontier]; !ok {
+			break
+		}
+		c.frontier++
+	}
+	if c.nextInstance < c.frontier {
+		c.nextInstance = c.frontier
+	}
+}
+
 func (c *Coordinator) drainBacklog() {
 	for len(c.backlog) > 0 && len(c.pending) < c.cfg.Window && c.leader {
-		value := c.backlog[0]
+		frame := c.backlog[0]
 		c.backlog[0] = nil
 		c.backlog = c.backlog[1:]
 		if len(c.backlog) == 0 {
 			c.backlog = nil
 		}
-		c.proposeValue(value)
+		c.propose(frame)
 	}
 }
 
@@ -669,8 +759,10 @@ func (c *Coordinator) handleHeartbeat(m *message) {
 	}
 }
 
+// maxResend bounds the decisions one LearnReq is answered with.
+const maxResend = 1024
+
 func (c *Coordinator) handleLearnReq(m *message) {
-	const maxResend = 1024
 	to := m.To
 	if to >= m.Instance+maxResend {
 		to = m.Instance + maxResend - 1
@@ -690,23 +782,39 @@ func (c *Coordinator) handleLearnReq(m *message) {
 }
 
 // skipTick pads the group's slot rate: if fewer than SkipSlots merge
-// slots were produced by real traffic since the last tick, a skip batch
-// covers the deficit. Busy groups (or groups with queued work) produce
-// slots on their own and are not padded.
-func (c *Coordinator) skipTick() {
+// slots per elapsed interval were produced by real traffic since the
+// last tick, a skip batch covers the deficit. Busy groups (or groups
+// with queued work) produce slots on their own and are not padded.
+//
+// A ticker served late drops ticks, and a busy host serves it late all
+// the time. The tick therefore pays for every interval that has elapsed
+// since the last one it paid for, not for one: a group that merely
+// topped each tick up would fall behind the other groups' streams by
+// SkipSlots per dropped tick, for good, and every command merged
+// against it would wait one more interval.
+func (c *Coordinator) skipTick(now time.Time) {
+	var due uint32
+	if ticks := uint64(now.Sub(c.skipEpoch) / c.cfg.SkipInterval); ticks > c.skipTicks {
+		due = uint32(ticks-c.skipTicks) * c.cfg.SkipSlots
+		c.skipTicks = ticks
+	}
 	produced := c.slotsSinceTick
 	c.slotsSinceTick = 0
 	if !c.leader || len(c.backlog) > 0 || len(c.pending) >= c.cfg.Window {
 		return
 	}
-	if produced >= c.cfg.SkipSlots {
+	if produced >= due {
 		return
 	}
 	// Flush any half-built batch first so its commands are not delayed
 	// behind the skip.
 	c.flush()
-	value := EncodeBatch(&Batch{Skip: true, SkipSlots: c.cfg.SkipSlots - produced})
-	c.proposeValue(value)
+	c.propose(encodeMessage(&message{
+		Type:  msgPhase2a,
+		Group: c.cfg.GroupID,
+		Addr:  c.protoAddr(),
+		Value: EncodeBatch(&Batch{Skip: true, SkipSlots: due - produced}),
+	}))
 }
 
 func (c *Coordinator) heartbeatTick() {
@@ -754,6 +862,7 @@ func (c *Coordinator) startPhase1() {
 	c.leader = false
 	c.p1Acks = make(map[uint32]bool, len(c.cfg.Acceptors))
 	c.p1Entries = make(map[uint64]acceptedEntry)
+	c.p1Mark = 0
 	m := &message{
 		Type:     msgPhase1a,
 		Group:    c.cfg.GroupID,
@@ -775,6 +884,9 @@ func (c *Coordinator) handlePhase1b(m *message) {
 		return
 	}
 	c.p1Acks[m.Acceptor] = true
+	if m.To > c.p1Mark {
+		c.p1Mark = m.To
+	}
 	for _, e := range m.Entries {
 		cur, ok := c.p1Entries[e.Instance]
 		if !ok || e.Ballot > cur.Ballot {
@@ -790,6 +902,18 @@ func (c *Coordinator) handlePhase1b(m *message) {
 	c.believedLeader = c.cfg.CandidateIdx
 	c.pending = make(map[uint64]*pendingInstance)
 
+	// Everything below the quorum's trim mark is decided, and an acceptor
+	// that trimmed it no longer vouches for what the others still hold
+	// there: a lagging standby must neither re-propose nor hole-fill
+	// below the mark. It moves past it and asks the other candidates for
+	// the decisions it skipped (its retransmission log only; learners
+	// were pushed them by the leader that decided them).
+	if c.p1Mark > c.frontier {
+		c.learnGap(c.frontier, c.p1Mark)
+		c.frontier = c.p1Mark
+		c.advanceFrontier()
+	}
+
 	insts := make([]uint64, 0, len(c.p1Entries))
 	for inst := range c.p1Entries {
 		if inst >= c.frontier {
@@ -804,30 +928,45 @@ func (c *Coordinator) handlePhase1b(m *message) {
 		}
 	}
 	for _, inst := range insts {
-		e := c.p1Entries[inst]
-		c.pending[inst] = &pendingInstance{value: e.Value, acks: make(map[uint32]bool, len(c.cfg.Acceptors))}
-		c.sendPhase2a(inst, e.Value)
+		c.rePropose(inst, c.p1Entries[inst].Value)
 	}
 	// Fill holes left between re-proposed instances with empty batches
 	// so learners do not stall forever on gaps.
-	have := make(map[uint64]bool, len(insts))
-	for _, inst := range insts {
-		have[inst] = true
-	}
 	for inst := c.frontier; inst < c.nextInstance; inst++ {
-		if have[inst] {
+		if _, reProposed := c.pending[inst]; reProposed {
 			continue
 		}
 		if _, decided := c.decisions[inst]; decided {
 			continue
 		}
-		value := EncodeBatch(&Batch{Items: nil})
-		c.pending[inst] = &pendingInstance{value: value, acks: make(map[uint32]bool, len(c.cfg.Acceptors))}
-		c.sendPhase2a(inst, value)
+		c.rePropose(inst, EncodeBatch(&Batch{Items: nil}))
 	}
 	c.p1Entries = nil
 	c.p1Acks = nil
 	c.drainBacklog()
+}
+
+// learnGap asks the other candidates to retransmit the decisions of
+// [from, to), in requests no larger than one reply burst.
+func (c *Coordinator) learnGap(from, to uint64) {
+	for ; from < to; from += maxResend {
+		last := to - 1
+		if last >= from+maxResend {
+			last = from + maxResend - 1
+		}
+		frame := encodeMessage(&message{
+			Type:      msgLearnReq,
+			Group:     c.cfg.GroupID,
+			Instance:  from,
+			Instance2: Instance2{To: last},
+			Addr:      c.cfg.Candidates[c.cfg.CandidateIdx],
+		})
+		for i, cand := range c.cfg.Candidates {
+			if i != c.cfg.CandidateIdx {
+				_ = c.cfg.Transport.Send(cand, frame)
+			}
+		}
+	}
 }
 
 func (c *Coordinator) quorum() int { return len(c.cfg.Acceptors)/2 + 1 }

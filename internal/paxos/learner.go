@@ -550,11 +550,12 @@ func (c *OptCursor) TryNext() (b *Batch, ready bool) {
 // NextEither blocks until the decided cursor or the optimistic cursor
 // has a batch and returns one, preferring the decided stream (the
 // speculation layer reconciles before it speculates further, keeping
-// its speculation window short). ok is false once the learner closes
-// and BOTH cursors have drained their retained batches. This is the
-// single-consumer hand-off the optimistic replica's driver loop runs
-// on: one goroutine owns both cursors, so admission and reconciliation
-// interleave in one well-defined order.
+// its speculation window short). A nil oc waits for the decided stream
+// only (the caller's speculation window is full). ok is false once the
+// learner closes and BOTH cursors have drained their retained batches.
+// This is the single-consumer hand-off the optimistic replica's driver
+// loop runs on: one goroutine owns both cursors, so admission and
+// reconciliation interleave in one well-defined order.
 func (l *Learner) NextEither(dc *Cursor, oc *OptCursor) (b *Batch, instance uint64, decided bool, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -566,7 +567,7 @@ func (l *Learner) NextEither(dc *Cursor, oc *OptCursor) (b *Batch, instance uint
 			l.trimLocked()
 			return b, instance, true, true
 		}
-		if oc.pos < l.optNext {
+		if oc != nil && oc.pos < l.optNext {
 			b = l.optLog[oc.pos-l.optBase]
 			oc.pos++
 			l.trimOptLocked()

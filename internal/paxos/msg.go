@@ -125,8 +125,9 @@ type message struct {
 	Entries  []acceptedEntry // phase1b only
 }
 
-// Instance2 is a second instance field (learnreq "to", heartbeat
-// "nextInstance"). Named type only to document intent in the struct.
+// Instance2 is a second instance field: learnreq "to"; on phase2a the
+// leader's decided frontier, on phase1b the acceptor's trim mark (see
+// Acceptor). Named type only to document intent in the struct.
 type Instance2 = struct{ To uint64 }
 
 // Flags.
@@ -168,12 +169,12 @@ func NewOptimisticFrame(group uint32, ballot Ballot, optSeq uint64, value []byte
 // by group and re-frames the values as a ProposeBatch, so this path
 // must stay allocation-free.
 func ParsePropose(frame []byte) (group uint32, value []byte, ok bool) {
-	if len(frame) < 36 || msgType(frame[0]) != msgPropose {
+	if len(frame) < headerLen || msgType(frame[0]) != msgPropose {
 		return 0, nil, false
 	}
 	group = binary.LittleEndian.Uint32(frame[1:5])
 	addrLen := int(binary.LittleEndian.Uint16(frame[34:36]))
-	rest := frame[36:]
+	rest := frame[headerLen:]
 	if len(rest) < addrLen+4 {
 		return 0, nil, false
 	}
@@ -187,33 +188,53 @@ func ParsePropose(frame []byte) (group uint32, value []byte, ok bool) {
 }
 
 // NewProposeBatchFrame builds a ProposeBatch frame carrying items (the
-// values of individual Propose frames) in admission order. The message
-// Value is a batchKindNormal batch encoding, fused into the frame
-// encode so a proxy seals a batch with exactly one allocation.
-// Decoding via decodeMessage + DecodeBatch yields the items back.
+// values of individual Propose frames) in admission order. Decoding via
+// decodeMessage + DecodeBatch yields the items back.
 func NewProposeBatchFrame(group uint32, items [][]byte) []byte {
-	valSize := 1 + 4
-	for _, it := range items {
-		valSize += 4 + len(it)
-	}
-	buf := make([]byte, 0, 36+valSize+4)
-	buf = append(buf, byte(msgProposeBatch))
-	buf = binary.LittleEndian.AppendUint32(buf, group)
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // ballot
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // instance
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // to
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // acceptor
-	buf = append(buf, 0)                           // flags
-	buf = binary.LittleEndian.AppendUint16(buf, 0) // addrLen
+	return newBatchFrame(msgProposeBatch, group, "", items)
+}
+
+// headerLen is the fixed part of every frame: type, group, ballot,
+// instance, to, acceptor, flags and the address length.
+const headerLen = 36
+
+// Offsets of the fields a leader patches into a Phase2a frame it built
+// before the instance was assigned (newBatchFrame at flush time,
+// Coordinator.propose at instance-assignment time).
+const (
+	ballotOff   = 5
+	instanceOff = 13
+	toOff       = 21
+)
+
+// newBatchFrame builds a frame of type t whose Value is the
+// batchKindNormal encoding of items, fused into the frame encode: a
+// proxy seals a batch, and a leader flushes one, with exactly one
+// allocation and one copy of the payload. Ballot, instance and to are
+// left zero.
+func newBatchFrame(t msgType, group uint32, addr transport.Addr, items [][]byte) []byte {
+	valSize := normalBatchSize(items)
+	buf := make([]byte, headerLen, headerLen+len(addr)+4+valSize+4)
+	buf[0] = byte(t)
+	binary.LittleEndian.PutUint32(buf[1:], group)
+	binary.LittleEndian.PutUint16(buf[34:], uint16(len(addr)))
+	buf = append(buf, addr...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(valSize))
-	buf = append(buf, batchKindNormal)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
-	for _, it := range items {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it)))
-		buf = append(buf, it...)
-	}
+	buf = appendNormalBatch(buf, items)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // entryCount
 	return buf
+}
+
+// frameValue returns the Value of a frame this package encoded, aliasing
+// it (capacity clipped, so nothing can grow into the frame's tail). The
+// coordinator uses it to keep ONE buffer per batch: the pending value
+// aliases the Phase2a frame, the decisions log aliases the Decision
+// frame the learners were handed.
+func frameValue(frame []byte) []byte {
+	off := headerLen + int(binary.LittleEndian.Uint16(frame[34:36]))
+	n := int(binary.LittleEndian.Uint32(frame[off:]))
+	off += 4
+	return frame[off : off+n : off+n]
 }
 
 // ParseProposeBatch decodes a ProposeBatch frame back into its group
@@ -233,7 +254,7 @@ func ParseProposeBatch(frame []byte) (group uint32, batch *Batch, ok bool) {
 
 // encodeMessage renders m as a frame.
 func encodeMessage(m *message) []byte {
-	size := 1 + 4 + 8 + 8 + 8 + 4 + 1 + 2 + len(m.Addr) + 4 + len(m.Value) + 4
+	size := headerLen + len(m.Addr) + 4 + len(m.Value) + 4
 	for _, e := range m.Entries {
 		size += 8 + 8 + 4 + len(e.Value)
 	}
@@ -262,7 +283,7 @@ func encodeMessage(m *message) []byte {
 // decodeMessage parses a frame. Byte slices in the result alias the
 // frame.
 func decodeMessage(frame []byte) (*message, error) {
-	if len(frame) < 36 {
+	if len(frame) < headerLen {
 		return nil, errBadMessage
 	}
 	m := &message{Type: msgType(frame[0])}
@@ -273,7 +294,7 @@ func decodeMessage(frame []byte) (*message, error) {
 	m.Acceptor = binary.LittleEndian.Uint32(frame[29:33])
 	m.Flags = frame[33]
 	addrLen := int(binary.LittleEndian.Uint16(frame[34:36]))
-	rest := frame[36:]
+	rest := frame[headerLen:]
 	if len(rest) < addrLen+4 {
 		return nil, errBadMessage
 	}

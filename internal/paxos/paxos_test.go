@@ -43,6 +43,8 @@ type groupOptions struct {
 	takeover   time.Duration
 	heartbeat  time.Duration
 	optimistic bool
+	flush      time.Duration
+	batchMax   int
 }
 
 func startGroup(t *testing.T, net *transport.MemNetwork, opts groupOptions) *testGroup {
@@ -96,6 +98,8 @@ func startGroup(t *testing.T, net *transport.MemNetwork, opts groupOptions) *tes
 			TakeoverTimeout:   opts.takeover,
 			HeartbeatInterval: opts.heartbeat,
 			Optimistic:        opts.optimistic,
+			FlushInterval:     opts.flush,
+			BatchMaxBytes:     opts.batchMax,
 		})
 		if err != nil {
 			t.Fatalf("StartCoordinator: %v", err)
@@ -346,6 +350,91 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 }
 
+// Fail-over after the acceptors have truncated: a standby that missed
+// every decision (its frontier is 0) takes over from acceptors that
+// dropped the decided prefix. It must start at or past their trim mark
+// — below it no quorum vouches for anything, and hole-filling there
+// would overwrite decided instances with empty batches — and fetch the
+// prefix it skipped from the other standby, while the learners'
+// sequences stay identical through the change of leader.
+func TestFailoverAfterAcceptorsTrimmed(t *testing.T) {
+	net := newTestNet(t, 1)
+	g := startGroup(t, net, groupOptions{
+		candidates: 3,
+		learners:   2,
+		takeover:   100 * time.Millisecond,
+		heartbeat:  10 * time.Millisecond,
+		flush:      time.Hour,
+	})
+	cur0 := g.learners[0].NewCursor()
+	cur1 := g.learners[1].NewCursor()
+
+	// Candidate 1 hears heartbeats (protocol endpoint) but no decision.
+	net.SetFault("", g.candAddrs[1], transport.Fault{Partitioned: true})
+	// One proposal at a time on an idle group is one instance each.
+	const pre = acceptorRetain + 200
+	var want []string
+	for i := 0; i < pre; i++ {
+		want = append(want, fmt.Sprintf("pre%04d", i))
+		g.propose([]byte(want[i]))
+		collectItems(t, cur0, 1)
+	}
+	mark := g.acceptors[0].Trimmed()
+	if mark == 0 || mark > pre-acceptorRetain {
+		t.Fatalf("acceptor trim mark %d after %d decided instances, want within (0, %d]", mark, pre, pre-acceptorRetain)
+	}
+	net.SetFault("", g.candAddrs[1], transport.Fault{})
+
+	_ = g.coords[0].Close()
+	net.Drop(g.candAddrs[0])
+	net.Drop(ProtoAddr(g.candAddrs[0]))
+	waitLeader(t, g.coords[1])
+	if st := g.coords[1].Status(); st.NextInstance < mark {
+		t.Fatalf("new leader proposes from instance %d, below the acceptors' trim mark %d", st.NextInstance, mark)
+	}
+
+	const post = 100
+	for i := 0; i < post; i++ {
+		want = append(want, fmt.Sprintf("post%03d", i))
+		g.proposeTo(1, []byte(want[pre+i]))
+	}
+	got0 := append([][]byte{}, collectItems(t, cur0, post)...)
+	got1 := collectItems(t, cur1, pre+post)
+	for i, w := range want {
+		if string(got1[i]) != w {
+			t.Fatalf("learner 1 item %d = %q, want %q", i, got1[i], w)
+		}
+		if i >= pre && string(got0[i-pre]) != w {
+			t.Fatalf("learner 0 item %d = %q, want %q", i, got0[i-pre], w)
+		}
+	}
+
+	// The new leader's log holds the real instance 0 (learned from
+	// candidate 2), not an empty hole-filler.
+	probe, err := net.Listen("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := encodeMessage(&message{Type: msgLearnReq, Group: g.group, Addr: "probe"})
+	waitFor(t, func() bool {
+		_ = net.Send(g.candAddrs[1], req)
+		select {
+		case frame := <-probe.Recv():
+			m, err := decodeMessage(frame)
+			if err != nil || m.Type != msgDecision || m.Instance != 0 {
+				t.Fatalf("probe reply %+v, %v", m, err)
+			}
+			b, err := DecodeBatch(m.Value)
+			if err != nil || len(b.Items) != 1 || string(b.Items[0]) != want[0] {
+				t.Fatalf("new leader retransmits instance 0 as %+v, want [%s]", b, want[0])
+			}
+			return true
+		case <-time.After(20 * time.Millisecond):
+			return false
+		}
+	}, func() string { return "the new leader never learned the prefix below the trim mark" })
+}
+
 func TestProposalForwardedToLeader(t *testing.T) {
 	net := newTestNet(t, 1)
 	g := startGroup(t, net, groupOptions{
@@ -389,6 +478,39 @@ func TestSkipBatchesEmittedWhenIdle(t *testing.T) {
 		}
 	case <-deadline:
 		t.Fatal("no skip batch emitted while idle")
+	}
+}
+
+// A skip tick that comes late pays for every interval it missed, less
+// what real traffic produced meanwhile: the stream's slot count tracks
+// elapsed time, not the number of ticks the runtime got to deliver.
+func TestSkipTickPaysForDroppedTicks(t *testing.T) {
+	c := newAdmissionCoordinator()
+	c.cfg.SkipInterval = time.Millisecond
+	c.skipEpoch = time.Now()
+	skipSlots := func(inst uint64) uint32 {
+		t.Helper()
+		b, err := DecodeBatch(c.pending[inst].value)
+		if err != nil || !b.Skip {
+			t.Fatalf("instance %d is not a skip batch: %+v, %v", inst, b, err)
+		}
+		return b.SkipSlots
+	}
+	c.skipTick(c.skipEpoch.Add(time.Millisecond + 100*time.Microsecond))
+	if got := skipSlots(0); got != c.cfg.SkipSlots {
+		t.Fatalf("on-time tick pads %d slots, want %d", got, c.cfg.SkipSlots)
+	}
+	// Ticks 2 and 3 are dropped; 100 commands were ordered meanwhile.
+	c.slotsSinceTick = 100
+	c.skipTick(c.skipEpoch.Add(4*time.Millisecond + 300*time.Microsecond))
+	if got, want := skipSlots(1), 3*c.cfg.SkipSlots-100; got != want {
+		t.Fatalf("tick after two dropped ones pads %d slots, want %d", got, want)
+	}
+	// Real traffic beyond the rate needs no padding.
+	c.slotsSinceTick = c.cfg.SkipSlots
+	c.skipTick(c.skipEpoch.Add(5 * time.Millisecond))
+	if len(c.pending) != 2 {
+		t.Fatalf("a busy interval was padded: %d instances in flight, want 2", len(c.pending))
 	}
 }
 

@@ -4,8 +4,11 @@
 //
 //   - Proxy: a stateless proxy-proposer. Clients submit Propose frames
 //     to any proxy; the proxy classifies them by group, accumulates
-//     per-group batches (size and delay knobs) and forwards each sealed
-//     batch to the group's believed leader as ONE ProposeBatch frame.
+//     per-group batches and forwards each sealed batch to the group's
+//     believed leader as ONE ProposeBatch frame. A batch is sealed when
+//     it holds BatchMax commands or as soon as nothing more is readable
+//     on the proxy's endpoint: an idle proxy adds no delay, a loaded one
+//     batches whatever arrived while it was busy.
 //     The leader's inbound admission work drops from one frame per
 //     command to one frame per proxy batch, and the proxy tier scales
 //     out by just adding proxies — they share no state. A per-proxy
@@ -47,12 +50,10 @@ type Config struct {
 	Groups []multicast.GroupConfig
 	// Transport carries the proxy's traffic.
 	Transport transport.Transport
-	// BatchMax seals a group's batch when it holds this many commands.
+	// BatchMax seals a group's batch when it holds this many commands
+	// (every batch is sealed anyway once the endpoint runs dry).
 	// Default 64.
 	BatchMax int
-	// Delay bounds how long a queued command may wait before its batch
-	// is sealed regardless of size. Default 200µs.
-	Delay time.Duration
 	// DedupWindow sizes the proxy's recent-request window (rounded up
 	// to a power of two): a direct-mapped cache of (client, seq) ids
 	// that sheds client retransmissions before they reach the leader's
@@ -74,9 +75,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.Delay <= 0 {
-		c.Delay = 200 * time.Microsecond
 	}
 	if c.DedupWindow == 0 {
 		c.DedupWindow = 4096
@@ -135,10 +133,6 @@ type Proxy struct {
 	ep   transport.Endpoint
 	bufs []groupBuf
 	gidx map[uint32]int // group id -> bufs index
-	// queuedTotal counts commands buffered across all groups, to arm
-	// the delay timer only on the empty->non-empty transition.
-	queuedTotal int
-	timer       *time.Timer
 	// dedup is the recent-request window (nil when disabled); accessed
 	// only from the run goroutine, so it needs no lock.
 	dedup     []dedupSlot
@@ -176,15 +170,11 @@ func newProxy(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("proxy %s: no groups", cfg.Addr)
 	}
 	p := &Proxy{
-		cfg:   cfg,
-		bufs:  make([]groupBuf, len(cfg.Groups)),
-		gidx:  make(map[uint32]int, len(cfg.Groups)),
-		timer: time.NewTimer(time.Hour),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	if !p.timer.Stop() {
-		<-p.timer.C
+		cfg:  cfg,
+		bufs: make([]groupBuf, len(cfg.Groups)),
+		gidx: make(map[uint32]int, len(cfg.Groups)),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	for i, g := range cfg.Groups {
 		p.bufs[i] = groupBuf{id: g.ID, items: make([][]byte, 0, cfg.BatchMax)}
@@ -224,6 +214,9 @@ func (p *Proxy) Counters() Counters {
 	}
 }
 
+// run admits frames for as long as the endpoint has one ready and seals
+// every group's batch the moment it has none: after each admit the proxy
+// either has more to read or seals, so nothing ever waits on a timer.
 func (p *Proxy) run() {
 	defer close(p.done)
 	for {
@@ -236,9 +229,18 @@ func (p *Proxy) run() {
 			}
 			t0 := time.Now()
 			p.admit(frame)
-			p.cfg.CPU.Add(time.Since(t0))
-		case <-p.timer.C:
-			t0 := time.Now()
+		drain:
+			for {
+				select {
+				case frame, ok := <-p.ep.Recv():
+					if !ok {
+						break drain
+					}
+					p.admit(frame)
+				default:
+					break drain
+				}
+			}
 			p.sealAll()
 			p.cfg.CPU.Add(time.Since(t0))
 		}
@@ -285,10 +287,6 @@ func (p *Proxy) admit(frame []byte) {
 	p.queued.Add(1)
 	b := &p.bufs[gi]
 	b.items = append(b.items, value)
-	if p.queuedTotal == 0 {
-		p.timer.Reset(p.cfg.Delay)
-	}
-	p.queuedTotal++
 	if len(b.items) >= p.cfg.BatchMax {
 		p.seal(gi)
 	}
@@ -306,7 +304,7 @@ func dedupIndex(client, seq uint64, group uint32) uint64 {
 	return x ^ x>>31
 }
 
-// sealAll flushes every non-empty group buffer (delay-timer path).
+// sealAll flushes every non-empty group buffer (the endpoint ran dry).
 func (p *Proxy) sealAll() {
 	for gi := range p.bufs {
 		if len(p.bufs[gi].items) > 0 {
@@ -332,16 +330,8 @@ func (p *Proxy) seal(gi int) {
 		frame = p.cfg.Trace.AppendTagForValue(frame, item)
 	}
 	p.cfg.Journal.Emit(obs.EvProxySeal, uint64(b.id), uint64(n))
-	p.queuedTotal -= n
-	for i := range b.items {
-		b.items[i] = nil
-	}
+	clear(b.items)
 	b.items = b.items[:0]
-	if p.queuedTotal > 0 {
-		p.timer.Reset(p.cfg.Delay)
-	} else {
-		p.timer.Stop()
-	}
 	cands := p.cfg.Groups[gi].Coordinators
 	for try := 0; try < len(cands); try++ {
 		target := cands[b.believed%len(cands)]

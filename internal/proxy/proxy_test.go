@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,9 +30,54 @@ func recvBatch(t *testing.T, ep transport.Endpoint) (uint32, *paxos.Batch) {
 	}
 }
 
+// recvItems collects sealed batches until they carry n items and
+// returns the items in arrival order.
+func recvItems(t *testing.T, ep transport.Endpoint, n int) [][]byte {
+	t.Helper()
+	var items [][]byte
+	for len(items) < n {
+		_, b := recvBatch(t, ep)
+		items = append(items, b.Items...)
+	}
+	if len(items) != n {
+		t.Fatalf("sealed batches carry %d items, want %d", len(items), n)
+	}
+	return items
+}
+
+// startLoaded starts a proxy whose endpoint already holds frames: they
+// have all reached the endpoint's receive channel before the proxy's
+// loop first runs, so what it seals depends on the frames alone and not
+// on how the sender and the proxy were scheduled. (A proxy seals when
+// its endpoint runs dry; frames sent to a running one may be sealed in
+// any number of batches.) len(frames) must fit the channel's buffer.
+func startLoaded(t *testing.T, net *transport.MemNetwork, cfg Config, frames [][]byte) *Proxy {
+	t.Helper()
+	p, err := newProxy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ep, err = net.Listen(cfg.Addr); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if err := net.Send(cfg.Addr, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(p.ep.Recv()) < len(frames); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames reached the endpoint", len(p.ep.Recv()), len(frames))
+		}
+	}
+	go p.run()
+	t.Cleanup(func() { _ = p.Close() })
+	return p
+}
+
 // TestProxyBatchSeal: with a count threshold of 4, eight proposals
-// yield exactly two sealed batches carrying the values in admission
-// order.
+// waiting at the endpoint yield exactly two sealed batches carrying the
+// values in admission order.
 func TestProxyBatchSeal(t *testing.T) {
 	net := transport.NewMemNetwork(1)
 	defer net.Close()
@@ -38,23 +85,17 @@ func TestProxyBatchSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Start(Config{
+	var frames [][]byte
+	for i := 0; i < 8; i++ {
+		frames = append(frames, paxos.NewProposeFrame(7, []byte{byte(i)}))
+	}
+	p := startLoaded(t, net, Config{
 		Addr:      "proxy0",
 		Groups:    []multicast.GroupConfig{{ID: 7, Coordinators: []transport.Addr{"g7/coord0"}}},
 		Transport: net,
 		BatchMax:  4,
-		Delay:     time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	}, frames)
 
-	for i := 0; i < 8; i++ {
-		if err := net.Send("proxy0", paxos.NewProposeFrame(7, []byte{byte(i)})); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var got [][]byte
 	for len(got) < 8 {
 		g, b := recvBatch(t, coord)
@@ -80,9 +121,16 @@ func TestProxyBatchSeal(t *testing.T) {
 	}
 }
 
-// TestProxyDelaySeal: a partial batch is sealed once the delay bound
-// expires.
-func TestProxyDelaySeal(t *testing.T) {
+// TestProxyIdleSeal: a lone command is sealed as soon as the endpoint
+// has nothing more — there is no delay to wait out, and no timer in the
+// proxy that could impose one.
+func TestProxyIdleSeal(t *testing.T) {
+	for pt, i := reflect.TypeOf(Proxy{}), 0; i < pt.NumField(); i++ {
+		switch pt.Field(i).Type {
+		case reflect.TypeOf((*time.Timer)(nil)), reflect.TypeOf((*time.Ticker)(nil)):
+			t.Fatalf("Proxy.%s is a timer: sealing must be event-driven", pt.Field(i).Name)
+		}
+	}
 	net := transport.NewMemNetwork(1)
 	defer net.Close()
 	coord, err := net.Listen("g0/coord0")
@@ -94,7 +142,6 @@ func TestProxyDelaySeal(t *testing.T) {
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0"}}},
 		Transport: net,
 		BatchMax:  1000,
-		Delay:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +152,42 @@ func TestProxyDelaySeal(t *testing.T) {
 		if err := net.Send("proxy0", paxos.NewProposeFrame(0, []byte{byte(i)})); err != nil {
 			t.Fatal(err)
 		}
+		_, b := recvBatch(t, coord)
+		if len(b.Items) != 1 || b.Items[0][0] != byte(i) {
+			t.Fatalf("lone command %d sealed as %v", i, b.Items)
+		}
 	}
-	_, b := recvBatch(t, coord)
-	if len(b.Items) != 3 {
-		t.Fatalf("delay-sealed batch of %d items, want 3", len(b.Items))
+}
+
+// TestProxyBurstSeal: a burst that is waiting when the proxy gets to
+// run is sealed on count, not one frame per command — at most
+// ceil(n/BatchMax) frames, plus one for a pump hand-off that splits the
+// burst.
+func TestProxyBurstSeal(t *testing.T) {
+	net := transport.NewMemNetwork(1)
+	defer net.Close()
+	coord, err := net.Listen("g0/coord0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, batchMax = 300, 64
+	var frames [][]byte
+	for i := 0; i < n; i++ {
+		frames = append(frames, paxos.NewProposeFrame(0, []byte{byte(i), byte(i >> 8)}))
+	}
+	p := startLoaded(t, net, Config{
+		Addr:      "proxy0",
+		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0"}}},
+		Transport: net,
+		BatchMax:  batchMax,
+	}, frames)
+	for i, it := range recvItems(t, coord, n) {
+		if len(it) != 2 || int(it[0])|int(it[1])<<8 != i {
+			t.Fatalf("item %d = %v", i, it)
+		}
+	}
+	if b, most := p.Counters().Batches, uint64((n+batchMax-1)/batchMax+1); b > most {
+		t.Fatalf("burst of %d sealed as %d frames, want <= %d", n, b, most)
 	}
 }
 
@@ -129,7 +208,6 @@ func TestProxyCoordinatorFailover(t *testing.T) {
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0", "g0/coord1"}}},
 		Transport: net,
 		BatchMax:  2,
-		Delay:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +219,7 @@ func TestProxyCoordinatorFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, b := recvBatch(t, standby)
-	if len(b.Items) != 2 {
-		t.Fatalf("failover batch of %d items, want 2", len(b.Items))
-	}
+	recvItems(t, standby, 2)
 }
 
 // TestProxyIgnoresForeignFrames: frames for unknown groups and
@@ -161,7 +236,6 @@ func TestProxyIgnoresForeignFrames(t *testing.T) {
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0"}}},
 		Transport: net,
 		BatchMax:  2,
-		Delay:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +246,8 @@ func TestProxyIgnoresForeignFrames(t *testing.T) {
 	_ = net.Send("proxy0", paxos.NewProposeFrame(9, []byte("x"))) // unknown group
 	_ = net.Send("proxy0", paxos.NewProposeFrame(0, []byte("a")))
 	_ = net.Send("proxy0", paxos.NewProposeFrame(0, []byte("b")))
-	_, b := recvBatch(t, coord)
-	if len(b.Items) != 2 || !bytes.Equal(b.Items[0], []byte("a")) || !bytes.Equal(b.Items[1], []byte("b")) {
-		t.Fatalf("batch = %v, want [a b]", b.Items)
+	if items := recvItems(t, coord, 2); !bytes.Equal(items[0], []byte("a")) || !bytes.Equal(items[1], []byte("b")) {
+		t.Fatalf("sealed %v, want [a b]", items)
 	}
 }
 
@@ -274,24 +347,20 @@ func TestProxyPipeline(t *testing.T) {
 	defer learner.Close()
 	cursor := learner.NewCursor()
 
-	p, err := Start(Config{
+	// The commands wait at the proxy's endpoint when it starts, so they
+	// are sealed on count (a running proxy that keeps up with its sender
+	// forwards commands as they come and compresses nothing).
+	const n = 100
+	var frames [][]byte
+	for i := 0; i < n; i++ {
+		frames = append(frames, paxos.NewProposeFrame(0, []byte{byte(i)}))
+	}
+	startLoaded(t, net, Config{
 		Addr:      "proxy0",
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: coordAddrs}},
 		Transport: net,
 		BatchMax:  25,
-		Delay:     20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := net.Send("proxy0", paxos.NewProposeFrame(0, []byte{byte(i)})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}, frames)
 
 	var got []byte
 	deadline := time.After(10 * time.Second)
@@ -356,7 +425,6 @@ func benchProxy(tb testing.TB) (p *Proxy, frame []byte, seqOff int) {
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0"}}},
 		Transport: sinkTransport{},
 		BatchMax:  64,
-		Delay:     time.Hour,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -425,7 +493,6 @@ func TestProxyDedupWindowSheds(t *testing.T) {
 		Groups:    []multicast.GroupConfig{{ID: 0, Coordinators: []transport.Addr{"g0/coord0"}}},
 		Transport: net,
 		BatchMax:  3,
-		Delay:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,12 +509,9 @@ func TestProxyDedupWindowSheds(t *testing.T) {
 	send(proposeReq(1, 1)) // retransmission: shed
 	send(proposeReq(1, 2))
 	send(proposeReq(2, 1))
-	_, b := recvBatch(t, coord)
-	if len(b.Items) != 3 {
-		t.Fatalf("sealed batch of %d items, want 3 (dup shed)", len(b.Items))
-	}
-	ids := make([][2]uint64, len(b.Items))
-	for i, it := range b.Items {
+	items := recvItems(t, coord, 3) // the dup is shed
+	ids := make([][2]uint64, len(items))
+	for i, it := range items {
 		c, s, ok := command.PeekRequestID(it)
 		if !ok {
 			t.Fatalf("item %d: not a request encoding", i)
@@ -464,11 +528,8 @@ func TestProxyDedupWindowSheds(t *testing.T) {
 	send(proposeReq(1, 1))
 	send(proposeReq(1, 3))
 	send(proposeReq(1, 4))
-	_, b = recvBatch(t, coord)
-	if len(b.Items) != 3 {
-		t.Fatalf("second batch of %d items, want 3 (post-shed copy readmitted)", len(b.Items))
-	}
-	if c, s, _ := command.PeekRequestID(b.Items[0]); c != 1 || s != 1 {
+	items = recvItems(t, coord, 3) // the post-shed copy is readmitted
+	if c, s, _ := command.PeekRequestID(items[0]); c != 1 || s != 1 {
 		t.Fatalf("readmitted id = (%d,%d), want (1,1)", c, s)
 	}
 	cnt := p.Counters()
@@ -499,7 +560,6 @@ func TestProxyDedupIsPerGroup(t *testing.T) {
 		},
 		Transport: net,
 		BatchMax:  1,
-		Delay:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -515,10 +575,7 @@ func TestProxyDedupIsPerGroup(t *testing.T) {
 		}
 	}
 	for _, coord := range []transport.Endpoint{coord0, coord1} {
-		_, b := recvBatch(t, coord)
-		if len(b.Items) != 1 {
-			t.Fatalf("%s batch of %d items, want 1", coord.Addr(), len(b.Items))
-		}
+		recvItems(t, coord, 1)
 	}
 	if cnt := p.Counters(); cnt.Shed != 0 || cnt.Queued != 2 {
 		t.Fatalf("counters = %+v, want Shed 0, Queued 2 (per-group copies both pass)", cnt)

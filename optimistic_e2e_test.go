@@ -22,7 +22,11 @@ import (
 
 	psmr "github.com/psmr/psmr"
 	"github.com/psmr/psmr/internal/command"
+	"github.com/psmr/psmr/internal/core"
 	"github.com/psmr/psmr/internal/kvstore"
+	"github.com/psmr/psmr/internal/optimistic"
+	"github.com/psmr/psmr/internal/paxos"
+	"github.com/psmr/psmr/internal/transport"
 )
 
 const (
@@ -285,5 +289,155 @@ func TestOptimisticClientGuarantees(t *testing.T) {
 	value, code := kvstore.DecodeReadOutput(out)
 	if code != kvstore.OK || binary.LittleEndian.Uint64(value) != 13 {
 		t.Fatalf("key 3 balance = %d, want 13", binary.LittleEndian.Uint64(value))
+	}
+}
+
+// A replica whose learner is cut off while 128 requests stay outstanding
+// (its peer keeps answering the clients) comes back thousands of
+// commands behind with the optimistic stream running live at the head.
+// The speculation window is what keeps that recoverable: the replica
+// speculates at most one window ahead of its own decided cursor instead
+// of the whole backlog, so every rollback on the way back is bounded by
+// the window, and both replicas end with byte-identical state.
+func TestOptimisticStalledReplicaCatchesUp(t *testing.T) {
+	const (
+		keys        = 1024
+		hot         = 16
+		clients     = 2
+		outstanding = 64
+	)
+	ops, stallAt, releaseAt := 6000, 1000, 3000
+	if raceEnabled {
+		ops, stallAt, releaseAt = 1500, 300, 800
+	}
+	var (
+		mu     sync.Mutex
+		stores []*markedStore
+	)
+	net := transport.NewMemNetwork(1)
+	cl, err := psmr.StartCluster(psmr.Config{
+		Mode:                  psmr.ModeSPSMR,
+		Workers:               2,
+		Scheduler:             psmr.SchedIndex,
+		Optimistic:            true,
+		OptimisticReSpeculate: true,
+		OptimisticReorder:     16,
+		Spec:                  kvstore.Spec(),
+		Transport:             net,
+		NewService: func() command.Service {
+			mu.Lock()
+			defer mu.Unlock()
+			st := kvstore.New()
+			st.Preload(keys)
+			ms := &markedStore{Store: st}
+			stores = append(stores, ms)
+			return ms
+		},
+	})
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	stalled := paxos.LearnerAddr(1, 0)
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		inv, err := cl.NewClient()
+		if err != nil {
+			t.Fatalf("NewClient: %v", err)
+		}
+		t.Cleanup(func() { _ = inv.Close() })
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c + 1)))
+			window := make([]*core.Call, 0, outstanding)
+			for i := 0; i < ops || len(window) > 0; i++ {
+				if len(window) == outstanding || i >= ops {
+					if out, err := window[0].Wait(); err != nil || out[0] != kvstore.OK {
+						errCh <- fmt.Errorf("client %d: %v %v", c, err, out)
+						return
+					}
+					window = window[1:]
+				}
+				if i >= ops {
+					continue
+				}
+				// Client 0's progress drives the fault, so the stall covers
+				// a fixed share of the run whatever the host's speed.
+				if c == 0 && i == stallAt {
+					net.SetFault("", stalled, transport.Fault{Partitioned: true})
+				}
+				if c == 0 && i == releaseAt {
+					net.SetFault("", stalled, transport.Fault{})
+				}
+				// A third of the commands move value between the hot keys
+				// (conflicts, and a conserved sum); the rest read.
+				cmd, input := kvstore.CmdRead, kvstore.EncodeKey(hot+rng.Uint64()%(keys-hot))
+				if rng.Intn(3) == 0 {
+					cmd, input = kvstore.CmdTransfer, kvstore.EncodeTransfer(rng.Uint64()%hot, rng.Uint64()%hot, rng.Uint64()%5)
+				}
+				call, err := inv.Submit(cmd, input)
+				if err != nil {
+					errCh <- fmt.Errorf("client %d submit: %w", c, err)
+					return
+				}
+				window = append(window, call)
+			}
+			errCh <- nil
+		}(c)
+	}
+	wg.Wait()
+	for c := 0; c < clients; c++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inv, err := cl.NewClient()
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	t.Cleanup(func() { _ = inv.Close() })
+	if out, err := inv.Invoke(kvstore.CmdInsert,
+		kvstore.EncodeKeyValue(keys+1, kvstore.EncodeKey(1))); err != nil || out[0] != kvstore.OK {
+		t.Fatalf("marker insert: %v %v", err, out)
+	}
+	// Quiesced means the marker and every command before it are
+	// order-confirmed on both replicas (see runOptimisticWorkload).
+	total := uint64(clients*ops + 1)
+	waitForCondition(t, 60*time.Second, func() bool {
+		cs := cl.OptimisticCounters()
+		return stores[0].inserts.Load() >= 1 && stores[1].inserts.Load() >= 1 &&
+			cs[0].Decided() >= total && cs[1].Decided() >= total
+	}, func() string {
+		return fmt.Sprintf("replicas did not quiesce: marker inserts %d/%d, counters %v (want %d decided each)",
+			stores[0].inserts.Load(), stores[1].inserts.Load(), cl.OptimisticCounters(), total)
+	})
+	if f0, f1 := stores[0].Fingerprint(), stores[1].Fingerprint(); f0 != f1 {
+		t.Fatalf("replicas diverged: %x vs %x (counters %v)", f0, f1, cl.OptimisticCounters())
+	}
+	var sum uint64
+	for k := uint64(0); k < hot; k++ {
+		out := stores[1].Store.Execute(kvstore.CmdRead, kvstore.EncodeKey(k))
+		value, code := kvstore.DecodeReadOutput(out)
+		if code != kvstore.OK {
+			t.Fatalf("read hot key %d: code %d", k, code)
+		}
+		sum += binary.LittleEndian.Uint64(value)
+	}
+	if want := uint64(hot * (hot - 1) / 2); sum != want {
+		t.Fatalf("hot balances sum to %d on the replica that was stalled, want %d", sum, want)
+	}
+	for r, c := range cl.OptimisticCounters() {
+		if c.MaxRollbackDepth > optimistic.DefaultMaxSpeculations {
+			t.Fatalf("replica %d rolled back %d deep, past the %d-command speculation window: %v",
+				r, c.MaxRollbackDepth, optimistic.DefaultMaxSpeculations, c)
+		}
+		t.Logf("replica %d: %v", r, c)
+	}
+	if c := cl.OptimisticCounters()[1]; c.Misses == 0 || c.Hits == 0 {
+		t.Fatalf("the stalled replica should have missed during the stall and hit again after it: %v", c)
 	}
 }

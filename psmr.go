@@ -135,7 +135,11 @@ type Config struct {
 	// BatchMaxBytes is the consensus batch size limit. Default 8192
 	// (the paper's 8 KB).
 	BatchMaxBytes int
-	// FlushInterval bounds batch formation latency. Default 200µs.
+	// FlushInterval is an upper bound, not a delay: a coordinator
+	// proposes its batch in formation as soon as it is idle (nothing
+	// more to read, nothing in flight), when the instance in flight
+	// decides, or at BatchMaxBytes; the interval only bounds the wait for
+	// a decision that never comes. Default 5ms.
 	FlushInterval time.Duration
 	// RetryInterval is the client retransmission interval. Default 3s.
 	RetryInterval time.Duration
@@ -171,11 +175,10 @@ type Config struct {
 	// a distinct error (multicast.ErrProxyDown) only when every proxy is
 	// unreachable; a single dead proxy is routed around.
 	Proxies int
-	// ProxyBatch is the proxy seal threshold in commands. Default 64.
+	// ProxyBatch is the proxy seal threshold in commands; a proxy also
+	// seals whatever it holds as soon as nothing more is readable on its
+	// endpoint, so a partial batch never waits. Default 64.
 	ProxyBatch int
-	// ProxyDelay bounds how long a proxy holds a partial batch. Default
-	// 200µs.
-	ProxyDelay time.Duration
 	// FanoutDegree, when positive, starts that many decision relays per
 	// group and makes leaders stripe decision (and optimistic) pushes
 	// across them instead of broadcasting to every learner themselves —
@@ -540,7 +543,6 @@ func (cl *Cluster) startProxies() error {
 			Groups:    cl.groups,
 			Transport: cfg.Transport,
 			BatchMax:  cfg.ProxyBatch,
-			Delay:     cfg.ProxyDelay,
 			CPU:       cfg.CPU.Role("proxy"),
 			Trace:     cl.tracer,
 			Journal:   cl.journal,
