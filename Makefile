@@ -17,14 +17,15 @@ test:
 	$(GO) test ./...
 
 # Batch sealing is event-driven (a proxy or coordinator seals when its
-# endpoints run dry) and the engines are parallel, so what these
-# packages do depends on how goroutines are scheduled: run them at 1, 2
-# and 4 Ps, so a failure that needs one degree of parallelism cannot
-# hide behind the host's.
+# endpoints run dry), the engines are parallel and a TCP connection's
+# writer batches whatever its senders queued while it was writing, so
+# what these packages do depends on how goroutines are scheduled: run
+# them at 1, 2 and 4 Ps, so a failure that needs one degree of
+# parallelism cannot hide behind the host's.
 procs:
 	@for p in 1 2 4; do \
 		echo "GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/paxos ./internal/proxy ./internal/optimistic ./internal/sched || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/paxos ./internal/proxy ./internal/optimistic ./internal/sched ./internal/transport || exit 1; \
 	done
 
 # The undo-record/clone-replay rollback model is gone: non-test code

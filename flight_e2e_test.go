@@ -156,6 +156,18 @@ func TestWireTraceTCPSingleHistogram(t *testing.T) {
 	if !crossProcess {
 		t.Fatalf("no folded record carries both the wire-absorbed submit stamp and server stages: %+v", tr.Recent())
 	}
+
+	// The registry carries the cluster node's wire counters: the n
+	// requests came in over the client's connection and their replies
+	// went out over the cluster's, each write and read carrying a frame
+	// or more.
+	flat := cl.Registry().Flatten()
+	sent, written := flat["transport_tcp_frames_sent_total"], flat["transport_tcp_writes_total"]
+	received, read := flat["transport_tcp_frames_received_total"], flat["transport_tcp_reads_total"]
+	if received < n || sent < n || written == 0 || written > sent || read == 0 || read > 2*received {
+		t.Fatalf("tcp counters: %v frames sent in %v writes, %v received in %v reads; want >= %d frames each way",
+			sent, written, received, read, n)
+	}
 }
 
 // TestFlightBundleOnDeadRelay kills the only decision relay of a

@@ -75,8 +75,6 @@ type CoordinatorConfig struct {
 	// Window bounds the number of in-flight (proposed, undecided)
 	// instances. Default 64.
 	Window int
-	// RetainDecisions bounds the retransmission log. Default 16384.
-	RetainDecisions int
 	// CPU optionally meters the coordinator's busy time.
 	CPU *bench.RoleMeter
 	// Trace optionally stamps sampled commands at the leader-admit and
@@ -108,9 +106,6 @@ func (c *CoordinatorConfig) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 64
 	}
-	if c.RetainDecisions <= 0 {
-		c.RetainDecisions = 16384
-	}
 }
 
 // pendingInstance is one proposed, undecided instance. value aliases
@@ -127,6 +122,15 @@ type pendingInstance struct {
 // (group commit); full batches are proposed whatever is in flight, so a
 // loaded leader still pipelines up to Window.
 const sealBelow = 1
+
+// decisionLogBytes and decisionLogInstances cap the retransmission log
+// (see Coordinator.decisions) once it holds acceptorRetain instances
+// behind the frontier: a learner further behind than the acceptors keep
+// needs state transfer, so a larger log is memory no recovery path uses.
+const (
+	decisionLogBytes     = 16 << 20
+	decisionLogInstances = 16384
+)
 
 // drainMax bounds how many already-readable frames the event loop
 // handles between two blocking selects.
@@ -186,13 +190,17 @@ type Coordinator struct {
 	curItems [][]byte
 	curBytes int
 
-	// Decision log for learner retransmission. A value aliases the
-	// Decision frame it was pushed (or gossiped) in, which in-process is
-	// the buffer the learners' logs alias too.
-	decisions  map[uint64][]byte
-	frontier   uint64 // all instances < frontier are in decisions (until trimmed)
-	trimBelow  uint64
-	sinceSweep int
+	// Decision log for learner retransmission: every instance at or
+	// above trimBelow that this candidate decided or was told of. After
+	// each store the oldest instance is dropped while both hold: the log
+	// holds more than decisionLogBytes of values (logBytes) or more than
+	// decisionLogInstances instances, and more than acceptorRetain
+	// instances remain below frontier. A value aliases the Decision frame
+	// it was pushed (or gossiped) in, which in-process is the buffer the
+	// learners' logs alias too.
+	decisions map[uint64][]byte
+	frontier  uint64 // all instances < frontier are decided
+	trimBelow uint64
 	// slotsSinceTick counts merge slots produced by real batches since
 	// the last skip tick; the tick pads the difference to SkipSlots per
 	// interval elapsed. skipEpoch is when the skip ticker started,
@@ -218,6 +226,11 @@ type Coordinator struct {
 	inFrames   atomic.Uint64
 	inCommands atomic.Uint64
 	decided    atomic.Uint64
+	// The decision log's size (only the event loop writes these) and
+	// the instances LearnReqs asked for below trimBelow.
+	logBytes      atomic.Int64
+	logInstances  atomic.Int64
+	learnUnserved atomic.Uint64
 }
 
 // CoordinatorCounters reports a coordinator's inbound admission work:
@@ -230,6 +243,13 @@ type CoordinatorCounters struct {
 	// Decided counts the decision pushes this coordinator performed as
 	// leader (0 on a standby).
 	Decided uint64
+	// LogBytes and LogInstances are the size of the retransmission log:
+	// the values it retains and how many instances they are.
+	LogBytes     uint64
+	LogInstances uint64
+	// LearnUnserved counts the instances retransmission requests asked
+	// for below the log; those need state transfer, not retransmission.
+	LearnUnserved uint64
 }
 
 // FramesPerCommand is the admission cost ratio; 0 when no commands
@@ -248,6 +268,9 @@ func (c *Coordinator) Counters() CoordinatorCounters {
 		InboundFrames:   c.inFrames.Load(),
 		InboundCommands: c.inCommands.Load(),
 		Decided:         c.decided.Load(),
+		LogBytes:        uint64(c.logBytes.Load()),
+		LogInstances:    uint64(c.logInstances.Load()),
+		LearnUnserved:   c.learnUnserved.Load(),
 	}
 }
 
@@ -688,23 +711,15 @@ func (c *Coordinator) storeDecision(inst uint64, value []byte) {
 		return
 	}
 	c.decisions[inst] = value
+	c.logBytes.Add(int64(len(value)))
 	c.advanceFrontier()
-	// Amortised sweep of entries older than the retention window.
-	c.sinceSweep++
-	if c.sinceSweep >= 1024 {
-		c.sinceSweep = 0
-		if c.frontier > uint64(c.cfg.RetainDecisions) {
-			newTrim := c.frontier - uint64(c.cfg.RetainDecisions)
-			if newTrim > c.trimBelow {
-				for inst := range c.decisions {
-					if inst < newTrim {
-						delete(c.decisions, inst)
-					}
-				}
-				c.trimBelow = newTrim
-			}
-		}
+	for (c.logBytes.Load() > decisionLogBytes || len(c.decisions) > decisionLogInstances) &&
+		c.frontier-c.trimBelow > acceptorRetain {
+		c.logBytes.Add(-int64(len(c.decisions[c.trimBelow])))
+		delete(c.decisions, c.trimBelow)
+		c.trimBelow++
 	}
+	c.logInstances.Store(int64(len(c.decisions)))
 }
 
 // advanceFrontier moves the frontier over every contiguous decision.
@@ -770,6 +785,9 @@ func (c *Coordinator) handleLearnReq(m *message) {
 	for inst := m.Instance; inst <= to; inst++ {
 		value, ok := c.decisions[inst]
 		if !ok {
+			if inst < c.trimBelow {
+				c.learnUnserved.Add(1)
+			}
 			continue
 		}
 		_ = c.cfg.Transport.Send(m.Addr, encodeMessage(&message{

@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // maxFrameSize bounds a single frame on the wire (16 MiB). On the read
@@ -21,6 +25,16 @@ const maxFrameSize = 16 << 20
 // (including the logical-name header).
 const MaxFrameSize = maxFrameSize
 
+// pendingMax bounds the encoded frames an outbound connection holds for
+// its writer. A sender whose frame would push the buffer past it waits
+// until the writer takes the buffer, the backpressure a blocking Write
+// gives; a larger frame waits for an empty buffer and goes out alone.
+const pendingMax = 1 << 20
+
+// readBufSize is an inbound connection's read buffer: one Read brings in
+// every frame that fits, instead of two Reads per frame.
+const readBufSize = 64 << 10
+
 // TCPNode is the Transport of one process in a TCP deployment. A node
 // listens on a single host:port and multiplexes any number of logical
 // endpoints over it. Addresses have the form "host:port/logical".
@@ -28,6 +42,12 @@ const MaxFrameSize = maxFrameSize
 // Frames are length-prefixed: 4-byte big-endian total length, 2-byte
 // logical-name length, logical name, payload. Outbound connections are
 // cached per remote host:port and re-dialled on demand after failures.
+// Each outbound connection has one writer goroutine: Send encodes the
+// frame into the connection's pending buffer and returns, and the writer
+// hands everything pending to one Write, so frames sent while a Write is
+// in progress leave together in the next. Send blocks while the pending
+// buffer holds pendingMax (1 MiB). A failed Write drops the connection
+// and the frames still pending with it, which counts as loss.
 type TCPNode struct {
 	listener net.Listener
 	hostPort string
@@ -39,11 +59,79 @@ type TCPNode struct {
 	closed    bool
 
 	wg sync.WaitGroup
+
+	framesSent, framesReceived atomic.Uint64
+	writes, reads, sendWaits   atomic.Uint64
 }
 
+// TCPCounters reports a node's wire work since it started.
+type TCPCounters struct {
+	// FramesSent counts the frames queued on outbound connections and
+	// FramesReceived the frames read off inbound ones (frames between
+	// endpoints of this node never touch a connection).
+	FramesSent, FramesReceived uint64
+	// Writes counts the Write calls on outbound connections and Reads
+	// the Read calls on inbound ones.
+	Writes, Reads uint64
+	// SendWaits counts the sends that found the pending buffer full and
+	// waited for the writer.
+	SendWaits uint64
+}
+
+// Counters returns the node's wire counters.
+func (n *TCPNode) Counters() TCPCounters {
+	return TCPCounters{
+		FramesSent:     n.framesSent.Load(),
+		FramesReceived: n.framesReceived.Load(),
+		Writes:         n.writes.Load(),
+		Reads:          n.reads.Load(),
+		SendWaits:      n.sendWaits.Load(),
+	}
+}
+
+// tcpConn is one outbound connection and the frames queued for its
+// writer goroutine (writeLoop).
 type tcpConn struct {
-	mu   sync.Mutex
 	conn net.Conn
+
+	mu sync.Mutex
+	// room is broadcast when the writer takes pending and when the
+	// connection dies.
+	room    sync.Cond
+	pending []byte
+	// err is why the connection died; nil while it is alive.
+	err error
+	// wake holds a token while pending is non-empty and the writer has
+	// not taken it. It is sent to and closed under mu, so a send never
+	// meets a closed channel.
+	wake chan struct{}
+}
+
+func newTCPConn(conn net.Conn) *tcpConn {
+	tc := &tcpConn{conn: conn, wake: make(chan struct{}, 1)}
+	tc.room.L = &tc.mu
+	return tc
+}
+
+// full reports whether a frame of size bytes must wait for the writer:
+// the connection is alive and its pending frames leave no room for it.
+// A frame larger than pendingMax fits once nothing is pending.
+func (tc *tcpConn) full(size int) bool {
+	return tc.err == nil && len(tc.pending) > 0 && len(tc.pending)+size > pendingMax
+}
+
+// kill marks the connection dead with cause err, releases its waiting
+// senders, stops its writer and closes it. Only the first call counts.
+func (tc *tcpConn) kill(err error) {
+	tc.mu.Lock()
+	if tc.err == nil {
+		tc.err = err
+		tc.pending = nil
+		close(tc.wake)
+		tc.room.Broadcast()
+	}
+	tc.mu.Unlock()
+	_ = tc.conn.Close()
 }
 
 // NewTCPNode starts a node listening on the given host:port. Use ":0" to
@@ -140,20 +228,62 @@ func (n *TCPNode) sendRemote(hostPort, logical string, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 6+len(logical)+len(frame))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(2+len(logical)+len(frame)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(logical)))
-	buf = append(buf, logical...)
-	buf = append(buf, frame...)
-
+	size := 6 + len(logical) + len(frame)
 	tc.mu.Lock()
-	_, werr := tc.conn.Write(buf)
-	tc.mu.Unlock()
-	if werr != nil {
-		n.dropConn(hostPort, tc)
-		return fmt.Errorf("tcp send to %s: %w", hostPort, werr)
+	if tc.full(size) {
+		n.sendWaits.Add(1)
+		for tc.full(size) {
+			tc.room.Wait()
+		}
 	}
+	if tc.err != nil {
+		err := tc.err
+		tc.mu.Unlock()
+		return fmt.Errorf("tcp send to %s: %w", hostPort, err)
+	}
+	if len(tc.pending) == 0 {
+		select {
+		case tc.wake <- struct{}{}:
+		default:
+		}
+	}
+	tc.pending = binary.BigEndian.AppendUint32(tc.pending, uint32(2+len(logical)+len(frame)))
+	tc.pending = binary.BigEndian.AppendUint16(tc.pending, uint16(len(logical)))
+	tc.pending = append(tc.pending, logical...)
+	tc.pending = append(tc.pending, frame...)
+	tc.mu.Unlock()
+	n.framesSent.Add(1)
 	return nil
+}
+
+// writeLoop is tc's writer: on each wake it takes the whole pending
+// buffer, leaving the one it wrote last in its place, and hands it to
+// one Write. It returns when the connection dies.
+func (n *TCPNode) writeLoop(hostPort string, tc *tcpConn) {
+	var spare []byte
+	for range tc.wake {
+		tc.mu.Lock()
+		if tc.err != nil {
+			tc.mu.Unlock()
+			return
+		}
+		buf := tc.pending
+		tc.pending = spare[:0]
+		tc.room.Broadcast()
+		tc.mu.Unlock()
+
+		n.writes.Add(1)
+		if _, err := tc.conn.Write(buf); err != nil {
+			n.dropConn(hostPort, tc, err)
+			return
+		}
+		// Keep a buffer one oversized frame grew for no longer than it
+		// takes to write it.
+		if cap(buf) > pendingMax {
+			buf = nil
+		}
+		spare = buf
+	}
 }
 
 func (n *TCPNode) getConn(hostPort string) (*tcpConn, error) {
@@ -184,18 +314,25 @@ func (n *TCPNode) getConn(hostPort string) (*tcpConn, error) {
 		_ = conn.Close()
 		return tc, nil
 	}
-	tc := &tcpConn{conn: conn}
+	tc := newTCPConn(conn)
 	n.conns[hostPort] = tc
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		pprof.Do(context.Background(), pprof.Labels("role", "tcp_writer"), func(context.Context) {
+			n.writeLoop(hostPort, tc)
+		})
+	}()
 	return tc, nil
 }
 
-func (n *TCPNode) dropConn(hostPort string, tc *tcpConn) {
+func (n *TCPNode) dropConn(hostPort string, tc *tcpConn, err error) {
 	n.mu.Lock()
 	if n.conns[hostPort] == tc {
 		delete(n.conns, hostPort)
 	}
 	n.mu.Unlock()
-	_ = tc.conn.Close()
+	tc.kill(err)
 }
 
 // Close implements Transport.
@@ -219,7 +356,7 @@ func (n *TCPNode) Close() error {
 
 	_ = n.listener.Close()
 	for _, tc := range conns {
-		_ = tc.conn.Close()
+		tc.kill(ErrClosed)
 	}
 	for conn := range inbound {
 		_ = conn.Close()
@@ -259,9 +396,10 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 		_ = conn.Close()
 	}()
+	r := bufio.NewReaderSize(countingReader{conn, &n.reads}, readBufSize)
 	var header [4]byte
 	for {
-		if _, err := io.ReadFull(conn, header[:]); err != nil {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
 			return
 		}
 		size := binary.BigEndian.Uint32(header[:])
@@ -269,9 +407,10 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 			return
 		}
 		body := make([]byte, size)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
+		n.framesReceived.Add(1)
 		nameLen := int(binary.BigEndian.Uint16(body[:2]))
 		if 2+nameLen > len(body) {
 			return
@@ -281,6 +420,17 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		// Frames for unknown endpoints are dropped, like loss.
 		_ = n.deliverLocal(logical, frame)
 	}
+}
+
+// countingReader counts the Read calls that reach an inbound connection.
+type countingReader struct {
+	r     io.Reader
+	reads *atomic.Uint64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.r.Read(p)
 }
 
 var _ Transport = (*TCPNode)(nil)

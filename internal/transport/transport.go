@@ -2,6 +2,13 @@
 // protocol in this repository: an in-process simulated network with fault
 // injection (used by tests, benchmarks and the in-process cluster) and a
 // TCP transport with length-prefixed frames (used by the cmd/ daemons).
+// The TCP transport gives each outbound connection one writer goroutine
+// that sends every frame queued since its last write in one write, and
+// reads inbound connections through a buffer, so a burst of frames
+// costs a few system calls rather than one or two per frame. A sender
+// blocks while 1 MiB is queued on its connection, and a failed write
+// drops the connection and the frames queued on it, which counts as
+// loss.
 //
 // All protocols are written against the Transport/Endpoint interfaces and
 // never assume reliable or ordered delivery beyond what the implementation

@@ -858,6 +858,25 @@ func (cl *Cluster) registerMetrics() {
 		sumCoord(func(c paxos.CoordinatorCounters) uint64 { return c.InboundCommands }))
 	r.FuncCounter("ordering_decided_total", "",
 		sumCoord(func(c paxos.CoordinatorCounters) uint64 { return c.Decided }))
+	// The coordinators' retransmission logs: their size, and the
+	// instances learners asked for below them (a learner lagging that far
+	// needs state transfer).
+	logBytes := sumCoord(func(c paxos.CoordinatorCounters) uint64 { return c.LogBytes })
+	r.FuncGauge("ordering_decision_log_bytes", "", func() float64 { return float64(logBytes()) })
+	logInstances := sumCoord(func(c paxos.CoordinatorCounters) uint64 { return c.LogInstances })
+	r.FuncGauge("ordering_decision_log_instances", "", func() float64 { return float64(logInstances()) })
+	r.FuncCounter("ordering_learn_unserved_total", "",
+		sumCoord(func(c paxos.CoordinatorCounters) uint64 { return c.LearnUnserved }))
+
+	// The wire work of the cluster's TCP node: writes and reads per frame
+	// show how many frames each system call carries.
+	if tn, ok := cl.cfg.Transport.(*transport.TCPNode); ok {
+		r.FuncCounter("transport_tcp_frames_sent_total", "", func() uint64 { return tn.Counters().FramesSent })
+		r.FuncCounter("transport_tcp_frames_received_total", "", func() uint64 { return tn.Counters().FramesReceived })
+		r.FuncCounter("transport_tcp_writes_total", "", func() uint64 { return tn.Counters().Writes })
+		r.FuncCounter("transport_tcp_reads_total", "", func() uint64 { return tn.Counters().Reads })
+		r.FuncCounter("transport_tcp_send_waits_total", "", func() uint64 { return tn.Counters().SendWaits })
+	}
 
 	if d := cl.cfg.FanoutDegree; d > 0 {
 		for idx, rl := range cl.relays {
